@@ -1,16 +1,14 @@
 /**
  * @file
- * Persistent schedule-cache store performance: the binary sharded log
- * (src/cachestore) against the v3 text snapshot it replaces as the
- * primary format, at 10^3 and 10^5 synthetic entries.
+ * Persistent schedule-cache store performance (src/cachestore) at 10^3
+ * and 10^5 synthetic entries.
  *
  *   ./bench_tab_cache_store [--sizes 1000,100000] [--shards K]
  *       [--json [PATH]]
  *
- * Per size the bench reports: text snapshot save/load seconds, binary
- * bulk-import and open-replay (the restart path) seconds, the restart
- * speedup text_load/binary_open (the ISSUE acceptance bar is >= 10x
- * at 10^5), and store lookup p50/p99 in microseconds. A churn phase
+ * Per size the bench reports: bulk import of a snapshot file into a
+ * fresh store and open-replay (the restart path) seconds, and store
+ * lookup p50/p99 in microseconds. A churn phase
  * then overwrites a bounded store 5x its capacity and reports the
  * high-water log size against the live size, demonstrating compaction
  * bounds the on-disk footprint under sustained churn.
@@ -75,9 +73,7 @@ syntheticEntry(std::int64_t i, ScheduleCacheKey* key, SearchResult* result,
     result->stats.valid_evaluated = 40 + i % 13;
     result->eval.valid = true;
     // Real evaluations are energy/cycle sums with full-precision
-    // mantissas (the text snapshot prints them at max_digits10); keep
-    // the synthetic ones equally "ugly" so the text parse cost is
-    // honest.
+    // mantissas; keep the synthetic ones equally "ugly".
     const double jitter = 1.0 + static_cast<double>(i % 8191) / 3.0;
     result->eval.cycles = 1.0e6 * jitter / 7.0;
     result->eval.energy_pj = 3.5e8 * jitter / 11.0;
@@ -141,11 +137,8 @@ mustOpen(StoreConfig config)
 struct Row
 {
     std::int64_t entries = 0;
-    double text_save_sec = 0.0;
-    double text_load_sec = 0.0;
     double binary_import_sec = 0.0;
     double binary_open_sec = 0.0;
-    double load_speedup = 0.0;
     double lookup_p50_us = 0.0;
     double lookup_p99_us = 0.0;
 };
@@ -188,12 +181,10 @@ main(int argc, char** argv)
     }
 
     const std::string dir = "bench_cache_store_dir";
-    const std::string text_path = "bench_cache_store_snapshot.txt";
+    const std::string snapshot_path = "bench_cache_store_snapshot.cache";
 
-    TextTable table("persistent cache store: binary shard log vs v3 "
-                    "text snapshot");
-    table.setHeader({"entries", "text_save_s", "text_load_s",
-                     "bin_import_s", "bin_open_s", "speedup",
+    TextTable table("persistent cache store: import, open, lookup");
+    table.setHeader({"entries", "bin_import_s", "bin_open_s",
                      "lookup_p50_us", "lookup_p99_us"});
     std::vector<Row> rows;
 
@@ -201,33 +192,23 @@ main(int argc, char** argv)
         Row row;
         row.entries = entries;
 
-        // Populate a baseline in-memory cache with the synthetic set.
-        ScheduleCache baseline;
-        for (std::int64_t i = 0; i < entries; ++i) {
-            ScheduleCacheKey key;
-            SearchResult result;
-            LayerSpec layer;
-            syntheticEntry(i, &key, &result, &layer);
-            baseline.insert(key, result, layer);
-        }
-
-        // Text snapshot: save + load through the v3 format.
-        double t0 = wallTimeSec();
-        const auto saved = baseline.save(text_path);
-        row.text_save_sec = wallTimeSec() - t0;
-        if (!saved.ok || saved.entries != entries)
-            fatal("text save failed: ", saved.error);
+        // Snapshot the synthetic set from an in-memory cache.
         {
-            ScheduleCache revived;
-            t0 = wallTimeSec();
-            const auto loaded = revived.load(text_path);
-            row.text_load_sec = wallTimeSec() - t0;
-            if (!loaded.ok || loaded.entries != entries)
-                fatal("text load failed: ", loaded.error);
+            ScheduleCache baseline;
+            for (std::int64_t i = 0; i < entries; ++i) {
+                ScheduleCacheKey key;
+                SearchResult result;
+                LayerSpec layer;
+                syntheticEntry(i, &key, &result, &layer);
+                baseline.insert(key, result, layer);
+            }
+            const auto saved = baseline.save(snapshot_path);
+            if (!saved.ok || saved.entries != entries)
+                fatal("snapshot save failed: ", saved.error);
         }
 
-        // Binary: bulk import (batched durability) then the restart
-        // path — open() replaying the shard logs.
+        // Bulk import (batched durability) then the restart path —
+        // open() replaying the shard logs.
         removeStoreDir(dir);
         StoreConfig config;
         config.dir = dir;
@@ -235,8 +216,8 @@ main(int argc, char** argv)
         config.fsync_each_append = false;
         {
             auto store = mustOpen(config);
-            t0 = wallTimeSec();
-            const auto imported = store->load(text_path);
+            const double t0 = wallTimeSec();
+            const auto imported = store->load(snapshot_path);
             if (!imported.ok || imported.entries != entries)
                 fatal("binary import failed: ", imported.error);
             const Status synced = store->syncAll();
@@ -246,7 +227,7 @@ main(int argc, char** argv)
         }
         std::vector<double> lookups;
         {
-            t0 = wallTimeSec();
+            const double t0 = wallTimeSec();
             auto store = mustOpen(config);
             row.binary_open_sec = wallTimeSec() - t0;
             if (store->size() != static_cast<std::size_t>(entries))
@@ -267,17 +248,12 @@ main(int argc, char** argv)
                     fatal("missing entry ", (p * 7919) % entries);
             }
         }
-        row.load_speedup =
-            row.text_load_sec / std::max(row.binary_open_sec, 1e-9);
         row.lookup_p50_us = percentile(lookups, 0.50);
         row.lookup_p99_us = percentile(lookups, 0.99);
         rows.push_back(row);
         table.addRow({std::to_string(row.entries),
-                      TextTable::fmt(row.text_save_sec, 3),
-                      TextTable::fmt(row.text_load_sec, 3),
                       TextTable::fmt(row.binary_import_sec, 3),
                       TextTable::fmt(row.binary_open_sec, 3),
-                      TextTable::fmt(row.load_speedup, 1),
                       TextTable::fmt(row.lookup_p50_us, 2),
                       TextTable::fmt(row.lookup_p99_us, 2)});
     }
@@ -328,7 +304,7 @@ main(int argc, char** argv)
               << churn.max_log_bytes / 1024 << " KiB)\n";
 
     removeStoreDir(dir);
-    std::remove(text_path.c_str());
+    std::remove(snapshot_path.c_str());
 
     if (write_json) {
         json::Value doc = json::Value::object();
@@ -338,11 +314,8 @@ main(int argc, char** argv)
         for (const Row& row : rows) {
             json::Value entry = json::Value::object();
             entry.set("entries", row.entries);
-            entry.set("text_save_sec", row.text_save_sec);
-            entry.set("text_load_sec", row.text_load_sec);
             entry.set("binary_import_sec", row.binary_import_sec);
             entry.set("binary_open_sec", row.binary_open_sec);
-            entry.set("load_speedup", row.load_speedup);
             entry.set("lookup_p50_us", row.lookup_p50_us);
             entry.set("lookup_p99_us", row.lookup_p99_us);
             series.push(std::move(entry));

@@ -6,6 +6,7 @@
 #include <filesystem>
 
 #include "cachestore/log.hpp"
+#include "common/failpoint.hpp"
 
 namespace cosa {
 namespace cachestore {
@@ -30,19 +31,24 @@ compactShardFile(const std::string& log_path, std::uint32_t shard_index,
                                          /*fsync_each_append=*/false);
     if (!opened.ok())
         return opened;
-    for (const std::string& payload : payloads) {
-        Status appended = writer.append(payload);
-        if (!appended.ok()) {
-            writer.close();
-            std::remove(tmp_path.c_str());
-            return appended;
+    Status written = Status::Ok();
+    try {
+        for (const std::string& payload : payloads) {
+            // Simulated mid-write crash for chaos tests.
+            COSA_FAILPOINT("cache.save_write", ErrorCode::kIoError);
+            written = writer.append(payload);
+            if (!written.ok())
+                break;
         }
+    } catch (const CosaError& e) {
+        written = e.status();
     }
-    Status synced = writer.sync();
-    if (!synced.ok()) {
+    if (written.ok())
+        written = writer.sync();
+    if (!written.ok()) {
         writer.close();
         std::remove(tmp_path.c_str());
-        return synced;
+        return written;
     }
     const std::uint64_t bytes = writer.bytes();
     writer.close();

@@ -9,11 +9,11 @@
  * someone folds them away. Compaction rewrites the shard as a fresh
  * generation holding exactly the live entries (one insert record each,
  * ascending sequence number, no evicts), then swaps it in with the
- * crash-safe temp-file + atomic-rename pattern the text snapshot and
- * the trace sink already use: a crash before the rename leaves the old
- * generation untouched (the stale `.tmp` is ignored and removed on the
- * next open); a crash after it leaves the new one — there is no state
- * in between.
+ * crash-safe temp-file + fsync + atomic-rename pattern: a crash before
+ * the rename leaves the old generation untouched (the stale `.tmp` is
+ * ignored and removed on the next open); a crash after it leaves the
+ * new one — there is no state in between. ScheduleCache::save writes
+ * its snapshot file through the same routine.
  *
  * Policy: a shard is worth compacting when its log has grown past
  * `min_bytes` AND dead bytes outweigh live ones (folding tiny or
@@ -65,7 +65,9 @@ std::string compactionTempPath(const std::string& log_path);
  * as a fresh generation of @p log_path and atomically swap it in.
  * Returns the new generation's byte size. The caller holds the shard
  * lock (the swap must not race an append) and reopens its writer on
- * the new file afterwards.
+ * the new file afterwards. The `cache.save_write` failpoint fires per
+ * record; a fault (or any IO error) removes the `.tmp` and leaves
+ * @p log_path as it was.
  */
 StatusOr<std::uint64_t> compactShardFile(
     const std::string& log_path, std::uint32_t shard_index,

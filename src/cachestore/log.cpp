@@ -238,7 +238,9 @@ struct Cursor
         }
         if constexpr (kLittleEndianHost) {
             const unsigned char* p = nullptr;
-            if (!take(n * sizeof(double), &p))
+            // n == 0: an empty vector's data() may be null, which
+            // memcpy must never see.
+            if (!take(n * sizeof(double), &p) || n == 0)
                 return out;
             out.resize(n);
             std::memcpy(out.data(), p, n * sizeof(double));
@@ -275,21 +277,38 @@ fnv1a(const void* data, std::size_t size)
     return h;
 }
 
+namespace {
+
 std::string
-encodeRecord(const LogRecord& record)
+encodeHeader(LogRecord::Kind kind, std::uint64_t seq,
+             const ScheduleCacheKey& key)
 {
     std::string out;
     out.reserve(256);
-    out.push_back(static_cast<char>(record.kind));
-    putVarint(out, record.seq);
-    putString(out, record.key.layer_key);
-    putString(out, record.key.arch_key);
-    putString(out, record.key.scheduler_key);
-    putString(out, record.key.evaluator_key);
-    if (record.kind == LogRecord::Kind::kEvict)
-        return out;
+    out.push_back(static_cast<char>(kind));
+    putVarint(out, seq);
+    putString(out, key.layer_key);
+    putString(out, key.arch_key);
+    putString(out, key.scheduler_key);
+    putString(out, key.evaluator_key);
+    return out;
+}
 
-    const LayerSpec& l = record.layer;
+} // namespace
+
+std::string
+encodeRecord(const LogRecord& record)
+{
+    if (record.kind == LogRecord::Kind::kEvict)
+        return encodeHeader(record.kind, record.seq, record.key);
+    return encodeInsert(record.seq, record.key, record.layer, record.result);
+}
+
+std::string
+encodeInsert(std::uint64_t seq, const ScheduleCacheKey& key,
+             const LayerSpec& l, const SearchResult& r)
+{
+    std::string out = encodeHeader(LogRecord::Kind::kInsert, seq, key);
     putString(out, l.name);
     putI64(out, l.r);
     putI64(out, l.s);
@@ -300,13 +319,11 @@ encodeRecord(const LogRecord& record)
     putI64(out, l.n);
     putI64(out, l.stride);
 
-    const SearchResult& r = record.result;
     out.push_back(r.found ? 1 : 0);
     putString(out, r.scheduler);
 
-    // The full SearchStats, unlike the 7-field text snapshot: the
-    // binary tier has no legacy readers to stay line-compatible with,
-    // so phase timings and LU counters survive a round trip too.
+    // The full SearchStats: phase timings and LU counters survive a
+    // round trip too.
     const SearchStats& s = r.stats;
     putI64(out, s.samples);
     putI64(out, s.valid_evaluated);
@@ -441,17 +458,6 @@ decodeRecord(std::string_view payload, LogRecord* record)
     return in.ok && in.pos == in.size;
 }
 
-std::string
-frameRecord(const std::string& payload)
-{
-    std::string frame;
-    frame.reserve(kFrameBytes + payload.size());
-    putU32(frame, static_cast<std::uint32_t>(payload.size()));
-    putU64(frame, fnv1a(payload.data(), payload.size()));
-    frame.append(payload);
-    return frame;
-}
-
 std::uint64_t
 logHeaderBytes()
 {
@@ -558,10 +564,10 @@ readLog(const std::string& path,
     out.shard_index = header.u32();
     out.num_shards = header.u32();
 
-    // Frame scan: stop at the first torn or corrupt frame. Everything
-    // before it is intact (each frame carries its own checksum);
-    // everything after it is unreachable in an append-only file, so
-    // the prefix cut *is* the recovery.
+    // Frame scan. A frame that fits in the file but fails its checksum
+    // or decode is one damaged record: skip it and keep going (its
+    // length still frames the next record). A frame that runs past the
+    // end of the file is a torn append: it ends the file.
     std::size_t pos = kHeaderBytes;
     out.valid_bytes = pos;
     while (pos < bytes.size()) {
@@ -580,17 +586,16 @@ readLog(const std::string& path,
         }
         const std::string_view payload(bytes.data() + frame.pos,
                                        payload_len);
+        pos = frame.pos + payload_len;
         if (fnv1a(payload.data(), payload.size()) != checksum) {
             ++out.records_skipped; // bit flip
-            break;
+            continue;
         }
         LogRecord record;
         if (!decodeRecord(payload, &record)) {
-            ++out.records_skipped;
-            ++out.decode_failures;
-            break;
+            ++out.records_skipped; // checksummed, yet no known record
+            continue;
         }
-        pos = frame.pos + payload_len;
         out.valid_bytes = pos;
         if (!visit(std::move(record),
                    static_cast<std::uint32_t>(kFrameBytes + payload_len)))
@@ -676,7 +681,11 @@ LogWriter::append(const std::string& payload)
 {
     if (fd_ < 0)
         return Status{ErrorCode::kIoError, "cachestore: writer not open"};
-    const std::string frame = frameRecord(payload);
+    std::string frame;
+    frame.reserve(kFrameBytes + payload.size());
+    putU32(frame, static_cast<std::uint32_t>(payload.size()));
+    putU64(frame, fnv1a(payload.data(), payload.size()));
+    frame.append(payload);
     std::size_t written = 0;
     while (written < frame.size()) {
         const ssize_t n = ::write(fd_, frame.data() + written,

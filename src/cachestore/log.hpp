@@ -12,24 +12,24 @@
  * Header and frame integers are fixed-width little-endian; integers
  * *inside* a payload are LEB128 varints (zigzag for signed), since
  * counters, bounds and lengths are almost always small. Doubles travel
- * as their raw IEEE-754 bits, so a round trip is bit-exact (the same
- * contract the v3 text snapshot keeps with max_digits10). Two record
- * kinds exist: an insert
- * carries the full (key, layer, SearchResult) of one cache entry plus
- * its global sequence number; an evict carries just the key. Replaying
- * the records front to back reproduces the shard's live map, and the
- * sequence numbers let the sharded store reconstruct the *global*
- * first-insertion order across shards (the order nearestNeighbor scans
- * and ties break on).
+ * as their raw IEEE-754 bits, so a round trip is bit-exact. Two record
+ * kinds exist: an insert carries the full (key, layer, SearchResult)
+ * of one cache entry plus its global sequence number; an evict carries
+ * just the key. Replaying the records front to back reproduces the
+ * shard's live map, and the sequence numbers let the sharded cache
+ * reconstruct the *global* first-insertion order across shards (the
+ * order nearestNeighbor scans and ties break on). A cache snapshot
+ * file (ScheduleCache::save) is the same format: one compacted
+ * single-shard log.
  *
  * Durability follows write -> fsync -> publish: LogWriter::append
  * writes the frame and (by default) fsyncs before returning, and the
  * store only publishes the in-memory entry after the append returned.
- * A crash therefore leaves at worst a torn tail: readLog() verifies
- * every frame's length and checksum and stops at the first bad one,
- * returning the records before it plus where the valid prefix ends —
- * load never fails on a torn or bit-flipped tail, it truncates
- * (see docs/cache-store.md for the recovery semantics).
+ * A crash therefore leaves at worst a torn tail. readLog() verifies
+ * every frame: one that fits in the file but fails its checksum or
+ * decode is skipped and counted, and the scan goes on; one that runs
+ * past the end of the file ends it. Reading never fails on damage past
+ * the header (see docs/cache-store.md for the recovery semantics).
  */
 
 #include <cstdint>
@@ -68,11 +68,12 @@ struct LogRecord
 /** Serialize @p record into a frame payload (no framing header). */
 std::string encodeRecord(const LogRecord& record);
 
+/** encodeRecord() of an insert, without building a LogRecord. */
+std::string encodeInsert(std::uint64_t seq, const ScheduleCacheKey& key,
+                         const LayerSpec& layer, const SearchResult& result);
+
 /** Parse one frame payload; false on any structural error. */
 bool decodeRecord(std::string_view payload, LogRecord* record);
-
-/** Frame @p payload exactly as LogWriter::append writes it. */
-std::string frameRecord(const std::string& payload);
 
 /** Outcome of reading one shard file. */
 struct LogReadResult
@@ -83,14 +84,11 @@ struct LogReadResult
     /** Framed on-disk size of each record (parallel to records) — the
      *  store's live-bytes accounting without re-encoding at replay. */
     std::vector<std::uint32_t> framed_bytes;
-    /** Bad frames dropped at the tail (0 or 1: a torn or bit-flipped
-     *  frame ends the readable prefix of an append-only file). */
+    /** Bad frames dropped: every frame that failed its checksum or
+     *  decode, plus one for a frame cut short by the end of the file. */
     std::int64_t records_skipped = 0;
-    /** Payload bytes that decoded as no known record (counted inside
-     *  records_skipped's prefix cut as well). */
-    std::int64_t decode_failures = 0;
-    /** File offset where the valid prefix ends; bytes beyond it are
-     *  the torn tail the writer truncates away on reopen. */
+    /** File offset where the last verified frame ends; bytes beyond it
+     *  are the torn tail the writer truncates away on reopen. */
     std::uint64_t valid_bytes = 0;
     /** True when the file carried bytes past valid_bytes. */
     bool torn_tail = false;
@@ -154,7 +152,6 @@ class LogWriter
     Status sync();
 
     void close();
-    bool isOpen() const { return fd_ >= 0; }
     /** Current file size (header + every appended frame). */
     std::uint64_t bytes() const { return bytes_; }
 

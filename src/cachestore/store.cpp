@@ -26,57 +26,24 @@ shardFileName(std::size_t index)
     return name;
 }
 
-std::string
-shardLabel(std::size_t index)
-{
-    return std::to_string(index);
-}
-
-metrics::Counter&
-shardEventCounter(std::size_t shard, const char* event)
-{
-    return metrics::MetricsRegistry::global().counter(
-        "cosa_cachestore_events_total",
-        "Persistent schedule-cache events by shard and kind",
-        {{"shard", shardLabel(shard)}, {"event", event}});
-}
-
-} // namespace
-
-StatusOr<std::shared_ptr<PersistentScheduleCache>>
-PersistentScheduleCache::open(StoreConfig config)
-{
-    if (config.dir.empty())
-        return Status{ErrorCode::kInvalidInput,
-                      "cachestore: empty shard directory"};
-    if (config.num_shards < 0 || config.num_shards > kMaxShards)
-        return Status{ErrorCode::kInvalidInput,
-                      "cachestore: shard count out of range"};
-    std::shared_ptr<PersistentScheduleCache> store(
-        new PersistentScheduleCache());
-    store->config_ = std::move(config);
-    Status opened = store->openLocked();
-    if (!opened.ok())
-        return opened;
-    return store;
-}
-
+/**
+ * Create @p config.dir when missing and reconcile its manifest with
+ * @p config.num_shards (resolved in place). The manifest pins the
+ * shard count so a reopen with a different configured K fails loudly
+ * instead of scattering keys across a mismatched layout.
+ */
 Status
-PersistentScheduleCache::openLocked()
+mountManifest(StoreConfig& config)
 {
     namespace fs = std::filesystem;
     std::error_code ec;
-    fs::create_directories(config_.dir, ec);
+    fs::create_directories(config.dir, ec);
     if (ec)
         return Status{ErrorCode::kIoError,
-                      "cachestore: cannot create " + config_.dir + ": " +
+                      "cachestore: cannot create " + config.dir + ": " +
                           ec.message()};
-
-    // Manifest: pins the shard count so a reopen with a different
-    // configured K fails loudly instead of scattering keys across a
-    // mismatched layout.
     const std::string manifest_path =
-        (fs::path(config_.dir) / kManifestName).string();
+        (fs::path(config.dir) / kManifestName).string();
     int shards_on_disk = 0;
     {
         std::ifstream in(manifest_path);
@@ -92,113 +59,130 @@ PersistentScheduleCache::openLocked()
         }
     }
     if (shards_on_disk > 0) {
-        if (config_.num_shards != 0 &&
-            config_.num_shards != shards_on_disk)
+        if (config.num_shards != 0 && config.num_shards != shards_on_disk)
             return Status{
                 ErrorCode::kInvalidInput,
-                "cachestore: " + config_.dir + " has " +
+                "cachestore: " + config.dir + " has " +
                     std::to_string(shards_on_disk) +
                     " shards but the configuration asks for " +
-                    std::to_string(config_.num_shards) +
+                    std::to_string(config.num_shards) +
                     " (export/import to change the layout)"};
-        config_.num_shards = shards_on_disk;
-    } else {
-        if (config_.num_shards == 0)
-            config_.num_shards = kDefaultShards;
-        // Crash-safe manifest write (same temp + rename as snapshots).
-        const std::string tmp = manifest_path + ".tmp";
-        {
-            std::ofstream out(tmp, std::ios::trunc);
-            if (!out)
-                return Status{ErrorCode::kIoError,
-                              "cachestore: cannot write " + tmp};
-            out << kManifestHeader << "\n"
-                << "shards " << config_.num_shards << "\n";
-        }
-        if (std::rename(tmp.c_str(), manifest_path.c_str()) != 0)
-            return Status{ErrorCode::kIoError,
-                          "cachestore: cannot publish " + manifest_path};
+        config.num_shards = shards_on_disk;
+        return Status::Ok();
     }
+    if (config.num_shards == 0)
+        config.num_shards = kDefaultShards;
+    // Crash-safe manifest write: temp + rename.
+    const std::string tmp = manifest_path + ".tmp";
+    {
+        std::ofstream out(tmp, std::ios::trunc);
+        if (!out)
+            return Status{ErrorCode::kIoError,
+                          "cachestore: cannot write " + tmp};
+        out << kManifestHeader << "\n"
+            << "shards " << config.num_shards << "\n";
+    }
+    if (std::rename(tmp.c_str(), manifest_path.c_str()) != 0)
+        return Status{ErrorCode::kIoError,
+                      "cachestore: cannot publish " + manifest_path};
+    return Status::Ok();
+}
 
-    const std::size_t num_shards =
-        static_cast<std::size_t>(config_.num_shards);
-    shards_.clear();
-    shards_.reserve(num_shards);
+} // namespace
+
+StatusOr<std::shared_ptr<PersistentScheduleCache>>
+PersistentScheduleCache::open(StoreConfig config)
+{
+    if (config.dir.empty())
+        return Status{ErrorCode::kInvalidInput,
+                      "cachestore: empty shard directory"};
+    if (config.num_shards < 0 || config.num_shards > kMaxShards)
+        return Status{ErrorCode::kInvalidInput,
+                      "cachestore: shard count out of range"};
+    Status mounted = mountManifest(config);
+    if (!mounted.ok())
+        return mounted;
+    std::shared_ptr<PersistentScheduleCache> store(
+        new PersistentScheduleCache(std::move(config)));
+    Status replayed = store->replay();
+    if (!replayed.ok())
+        return replayed;
+    return store;
+}
+
+PersistentScheduleCache::PersistentScheduleCache(StoreConfig config)
+    : ScheduleCache(config.capacity,
+                    static_cast<std::size_t>(config.num_shards)),
+      config_(std::move(config)),
+      logs_(shards_.size())
+{
+}
+
+Status
+PersistentScheduleCache::replay()
+{
+    const std::size_t num_shards = shards_.size();
     for (std::size_t i = 0; i < num_shards; ++i) {
-        auto shard = std::make_unique<Shard>();
-        shard->path = (fs::path(config_.dir) / shardFileName(i)).string();
+        logs_[i].path =
+            (std::filesystem::path(config_.dir) / shardFileName(i)).string();
         // A stale `.tmp` is a compaction that crashed before its
         // rename: the old generation is still the truth, the partial
         // new one is garbage. Ignore + remove.
-        fs::remove(compactionTempPath(shard->path), ec);
-        shards_.push_back(std::move(shard));
+        std::error_code ec;
+        std::filesystem::remove(compactionTempPath(logs_[i].path), ec);
     }
 
     // Read + replay every shard log in parallel — shards are fully
     // independent until the writers open, and replay (decode + map
-    // build) dominates a large store's startup.
+    // build) dominates a large store's startup. No other thread can
+    // see the store yet, so replay skips the shard locks.
     std::vector<Status> statuses(num_shards, Status::Ok());
     std::vector<std::uint64_t> valid_bytes(num_shards, 0);
     std::vector<std::uint64_t> max_seqs(num_shards, 0);
     const auto scanShard = [&](std::size_t i) {
-        Shard* shard = shards_[i].get();
+        Shard& shard = *shards_[i];
+        ShardLog& log = logs_[i];
         // Sizing hint so a big replay doesn't rehash/regrow its way
         // up (entries run a few hundred bytes; overshooting a bit is
         // just slack buckets).
         std::error_code size_ec;
-        const auto on_disk =
-            std::filesystem::file_size(shard->path, size_ec);
+        const auto on_disk = std::filesystem::file_size(log.path, size_ec);
         if (!size_ec && on_disk > 0) {
             const std::size_t hint =
                 static_cast<std::size_t>(on_disk / 256) + 1;
-            shard->entries.reserve(hint);
-            shard->index.reserve(hint);
+            shard.entries.reserve(hint);
+            shard.index.reserve(hint);
         }
         // Replay streams straight out of the frame scan — no second
         // copy of the shard's records. Inserts overwrite in place
-        // keeping the *first* record's seq (the base cache keeps an
-        // overwritten entry's insertion-order slot); evicts erase. A
-        // re-insert after an evict is a fresh entry under its fresh
-        // seq.
-        const auto replay = [&](LogRecord&& record,
-                                std::uint32_t record_bytes) {
-            ++shard->records_recovered;
+        // keeping the *first* record's seq (an overwrite keeps its
+        // order slot); evicts erase. A re-insert after an evict is a
+        // fresh entry under its fresh seq.
+        const auto apply = [&](LogRecord&& record,
+                               std::uint32_t record_bytes) {
+            ++log.records_recovered;
             max_seqs[i] = std::max(max_seqs[i], record.seq);
             std::string flat = record.key.flat();
             if (record.kind == LogRecord::Kind::kEvict) {
-                const auto it = shard->entries.find(flat);
-                if (it == shard->entries.end())
-                    return true;
-                StoreEntry& victim = it->second;
-                shard->live_bytes -= victim.record_bytes;
-                shard->index[victim.index_slot].entry = nullptr;
-                ++shard->index_tombstones;
-                shard->lru.erase(victim.lru_it);
-                shard->entries.erase(it);
+                const auto it = shard.entries.find(flat);
+                if (it != shard.entries.end()) {
+                    log.live_bytes -= it->second.record_bytes;
+                    eraseLocked(shard, it);
+                }
                 return true;
             }
-            const auto [it, inserted] =
-                shard->entries.try_emplace(std::move(flat));
-            StoreEntry& entry = it->second;
-            if (inserted) {
-                entry.key = std::move(record.key);
-                entry.seq = record.seq;
-                entry.lru_it =
-                    shard->lru.insert(shard->lru.end(), &it->first);
-                entry.index_slot = shard->index.size();
-                shard->index.push_back({record.seq, &entry});
-            } else {
-                shard->live_bytes -= entry.record_bytes;
-                shard->lru.splice(shard->lru.end(), shard->lru,
-                                  entry.lru_it);
-            }
-            entry.result = std::move(record.result);
-            entry.layer = std::move(record.layer);
-            entry.record_bytes = record_bytes;
-            shard->live_bytes += record_bytes;
+            const auto [entry, inserted] =
+                upsertLocked(shard, std::move(flat), record.seq);
+            if (inserted)
+                entry->key = std::move(record.key);
+            log.live_bytes += record_bytes;
+            log.live_bytes -= entry->record_bytes;
+            entry->result = std::move(record.result);
+            entry->layer = std::move(record.layer);
+            entry->record_bytes = record_bytes;
             return true;
         };
-        LogReadResult read = readLog(shard->path, replay);
+        LogReadResult read = readLog(log.path, apply);
         if (!read.ok) {
             statuses[i] = Status{ErrorCode::kIoError, read.error};
             return;
@@ -208,14 +192,14 @@ PersistentScheduleCache::openLocked()
              read.shard_index != static_cast<std::uint32_t>(i))) {
             statuses[i] =
                 Status{ErrorCode::kIoError,
-                       "cachestore: " + shard->path + " is shard " +
+                       "cachestore: " + log.path + " is shard " +
                            std::to_string(read.shard_index) + "/" +
                            std::to_string(read.num_shards) +
                            ", not part of this layout"};
             return;
         }
-        shard->records_skipped = read.records_skipped;
-        shard->torn_tail_recovered = read.torn_tail;
+        log.records_skipped = read.records_skipped;
+        log.torn_tail_recovered = read.torn_tail;
         valid_bytes[i] = read.valid_bytes;
     };
     const std::size_t num_workers = std::min<std::size_t>(
@@ -246,430 +230,124 @@ PersistentScheduleCache::openLocked()
         if (!status.ok())
             return status;
 
-    std::uint64_t max_seq = 0;
+    metrics::MetricsRegistry& registry = metrics::MetricsRegistry::global();
     for (std::size_t i = 0; i < num_shards; ++i) {
-        Shard* shard = shards_[i].get();
-        max_seq = std::max(max_seq, max_seqs[i]);
-        if (shard->torn_tail_recovered)
-            warn("cachestore: ", shard->path, ": torn tail recovered (",
-                 shard->records_skipped, " bad record dropped, ",
-                 shard->records_recovered, " survive)");
-
-        Status opened = shard->writer.open(
-            shard->path, static_cast<std::uint32_t>(i),
+        ShardLog& log = logs_[i];
+        const std::string label = std::to_string(i);
+        if (log.records_skipped > 0) {
+            warn("cachestore: ", log.path, ": ", log.records_skipped,
+                 " bad record(s) dropped, ", log.records_recovered,
+                 " replayed",
+                 log.torn_tail_recovered ? " (torn tail cut)" : "");
+            shards_[i]->metrics->corrupt_entry->inc(log.records_skipped);
+            registry
+                .counter("cosa_cachestore_recovered_skips_total",
+                         "Bad records dropped at open", {{"shard", label}})
+                .inc(log.records_skipped);
+        }
+        Status opened = log.writer.open(
+            log.path, static_cast<std::uint32_t>(i),
             static_cast<std::uint32_t>(num_shards), valid_bytes[i],
             config_.fsync_each_append);
         if (!opened.ok())
             return opened;
-
-        shard->hit_counter = &shardEventCounter(i, "hit");
-        shard->miss_counter = &shardEventCounter(i, "miss");
-        shard->insert_counter = &shardEventCounter(i, "insert");
-        shard->evict_counter = &shardEventCounter(i, "evict");
-        shard->eviction_total = &metrics::MetricsRegistry::global().counter(
-            "cosa_cache_evictions_total",
-            "Schedule-cache LRU evictions by shard",
-            {{"shard", shardLabel(i)}});
-        shard->compaction_counter =
-            &metrics::MetricsRegistry::global().counter(
-                "cosa_cachestore_compactions_total",
-                "Shard log generation folds", {{"shard", shardLabel(i)}});
-        shard->log_bytes_gauge = &metrics::MetricsRegistry::global().gauge(
-            "cosa_cachestore_log_bytes",
-            "Current shard log file size", {{"shard", shardLabel(i)}});
-        if (shard->records_skipped > 0)
-            metrics::MetricsRegistry::global()
-                .counter("cosa_cachestore_recovered_skips_total",
-                         "Bad tail records dropped at open",
-                         {{"shard", shardLabel(i)}})
-                .inc(shard->records_skipped);
-        publishLogBytes(*shard);
+        log.compaction_counter = &registry.counter(
+            "cosa_cachestore_compactions_total",
+            "Shard log generation folds", {{"shard", label}});
+        log.log_bytes_gauge = &registry.gauge(
+            "cosa_cachestore_log_bytes", "Current shard log file size",
+            {{"shard", label}});
+        publishLogBytes(log);
     }
-    next_seq_.store(max_seq + 1, std::memory_order_relaxed);
-    distributeBudgets(config_.capacity);
-    for (std::size_t i = 0; i < shards_.size(); ++i) {
-        Shard& shard = *shards_[i];
-        std::lock_guard<std::mutex> lock(shard.mutex);
-        enforceBudgetLocked(shard);
-        maybeCompactLocked(shard, i);
-    }
+    next_seq_.store(*std::max_element(max_seqs.begin(), max_seqs.end()) + 1,
+                    std::memory_order_relaxed);
+    // Apply the budgets to the replayed entries (evicting and logging
+    // the excess) and fold any shard the policy flags.
+    setCapacity(capacity());
     return Status::Ok();
 }
 
-PersistentScheduleCache::~PersistentScheduleCache()
-{
-    for (auto& shard : shards_) {
-        std::lock_guard<std::mutex> lock(shard->mutex);
-        shard->writer.close();
-    }
-}
-
-std::size_t
-PersistentScheduleCache::shardOf(const std::string& flat_key) const
-{
-    return static_cast<std::size_t>(
-        fnv1a(flat_key.data(), flat_key.size()) % shards_.size());
-}
-
 void
-PersistentScheduleCache::distributeBudgets(std::int64_t total)
+PersistentScheduleCache::logInsertLocked(std::size_t s, Entry& entry)
 {
-    const std::int64_t k = static_cast<std::int64_t>(shards_.size());
-    // A bounded store keeps at least one entry per shard, so the
-    // effective total is max(total, K); the budgets sum to exactly it.
-    const std::int64_t effective =
-        total <= 0 ? 0 : std::max<std::int64_t>(total, k);
-    for (std::int64_t i = 0; i < k; ++i) {
-        std::lock_guard<std::mutex> lock(shards_[i]->mutex);
-        shards_[i]->budget =
-            effective == 0 ? 0 : effective / k + (i < effective % k ? 1 : 0);
-    }
-}
-
-std::optional<SearchResult>
-PersistentScheduleCache::lookup(const ScheduleCacheKey& key)
-{
-    const std::string flat = key.flat();
-    Shard& shard = *shards_[shardOf(flat)];
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    const auto it = shard.entries.find(flat);
-    if (it == shard.entries.end()) {
-        ++shard.misses;
-        shard.miss_counter->inc();
-        return std::nullopt;
-    }
-    ++shard.hits;
-    shard.hit_counter->inc();
-    shard.lru.splice(shard.lru.end(), shard.lru, it->second.lru_it);
-    return it->second.result;
-}
-
-void
-PersistentScheduleCache::insert(const ScheduleCacheKey& key,
-                                const SearchResult& result,
-                                const LayerSpec& layer)
-{
-    const std::string flat = key.flat();
-    const std::size_t shard_index = shardOf(flat);
-    Shard& shard = *shards_[shard_index];
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    insertOneLocked(shard, key, result, layer, /*log_it=*/true);
-    enforceBudgetLocked(shard);
-    maybeCompactLocked(shard, shard_index);
-}
-
-void
-PersistentScheduleCache::insertOneLocked(Shard& shard,
-                                         const ScheduleCacheKey& key,
-                                         const SearchResult& result,
-                                         const LayerSpec& layer,
-                                         bool log_it)
-{
-    std::string flat = key.flat();
-    const auto [it, inserted] = shard.entries.try_emplace(std::move(flat));
-    StoreEntry& entry = it->second;
-    if (inserted) {
-        // Seq assignment under the shard lock keeps each shard file's
-        // records in ascending seq order (replay = merge order).
-        entry.seq = next_seq_.fetch_add(1, std::memory_order_relaxed);
-        entry.key = key;
-        entry.lru_it = shard.lru.insert(shard.lru.end(), &it->first);
-        entry.index_slot = shard.index.size();
-        shard.index.push_back({entry.seq, &entry});
-        ++shard.inserts;
-        shard.insert_counter->inc();
-    } else {
-        shard.live_bytes -= entry.record_bytes;
-        shard.lru.splice(shard.lru.end(), shard.lru, entry.lru_it);
-    }
-    entry.result = result;
-    entry.layer = layer;
-
-    LogRecord record;
-    record.kind = LogRecord::Kind::kInsert;
-    record.seq = entry.seq;
-    record.key = key;
-    record.layer = layer;
-    record.result = result;
-    const std::string payload = encodeRecord(record);
+    ShardLog& log = logs_[s];
+    const std::string payload =
+        encodeInsert(entry.seq, entry.key, entry.layer, entry.result);
+    log.live_bytes -= entry.record_bytes;
     entry.record_bytes = framedBytes(payload);
-    shard.live_bytes += entry.record_bytes;
-    if (log_it) {
-        // write -> fsync -> publish: the in-memory entry above is only
-        // reachable by other threads once this lock drops, which is
-        // after the durable append. An IO failure degrades to
-        // memory-only service for this entry (warned, not fatal: the
-        // cache must keep absorbing solves even on a full disk).
-        Status appended = shard.writer.append(payload);
-        if (!appended.ok())
-            warn("cachestore: ", shard.path, ": ", appended.message(),
-                 " (entry stays in memory only)");
-    }
-    publishLogBytes(shard);
+    log.live_bytes += entry.record_bytes;
+    // write -> fsync -> publish: the in-memory entry is only reachable
+    // by other threads once the shard lock drops, which is after the
+    // durable append. An IO failure degrades to memory-only service
+    // for this entry (warned, not fatal: the cache must keep absorbing
+    // solves even on a full disk).
+    Status appended = log.writer.append(payload);
+    if (!appended.ok())
+        warn("cachestore: ", log.path, ": ", appended.message(),
+             " (entry stays in memory only)");
 }
 
 void
-PersistentScheduleCache::evictOneLocked(Shard& shard)
+PersistentScheduleCache::logEvictLocked(std::size_t s, const Entry& entry)
 {
-    const std::string* victim = shard.lru.front();
-    shard.lru.pop_front();
-    const auto it = shard.entries.find(*victim);
-    StoreEntry& entry = it->second;
-
+    ShardLog& log = logs_[s];
     LogRecord record;
     record.kind = LogRecord::Kind::kEvict;
     record.seq = entry.seq;
     record.key = entry.key;
-    Status appended = shard.writer.append(encodeRecord(record));
+    Status appended = log.writer.append(encodeRecord(record));
     if (!appended.ok())
-        warn("cachestore: ", shard.path, ": ", appended.message());
-
-    shard.live_bytes -= entry.record_bytes;
-    shard.index[entry.index_slot].entry = nullptr;
-    ++shard.index_tombstones;
-    shard.entries.erase(it);
-    ++shard.evictions;
-    shard.evict_counter->inc();
-    shard.eviction_total->inc();
-    if (shard.index_tombstones > shard.entries.size() + 16)
-        compactIndexLocked(shard);
-    publishLogBytes(shard);
+        warn("cachestore: ", log.path, ": ", appended.message());
+    log.live_bytes -= entry.record_bytes;
 }
 
 void
-PersistentScheduleCache::enforceBudgetLocked(Shard& shard)
+PersistentScheduleCache::afterWriteLocked(std::size_t s)
 {
-    if (shard.budget <= 0)
+    ShardLog& log = logs_[s];
+    publishLogBytes(log);
+    if (log.compaction_pending || !worthCompacting(log))
         return;
-    while (static_cast<std::int64_t>(shard.entries.size()) > shard.budget)
-        evictOneLocked(shard);
+    std::function<void(std::function<void()>)> runner;
+    {
+        std::lock_guard<std::mutex> lock(runner_mutex_);
+        runner = runner_;
+    }
+    if (!runner) {
+        compactShardLocked(s);
+        return;
+    }
+    // Online mode: fold on the shared executor, never on the solve
+    // path. The task holds a weak_ptr — a store torn down before the
+    // continuation runs is a no-op, not a use-after-free.
+    log.compaction_pending = true;
+    std::weak_ptr<PersistentScheduleCache> weak = weak_from_this();
+    runner([weak, s] {
+        const std::shared_ptr<PersistentScheduleCache> self = weak.lock();
+        if (!self)
+            return;
+        std::lock_guard<std::mutex> lock(self->shards_[s]->mutex);
+        ShardLog& log = self->logs_[s];
+        log.compaction_pending = false;
+        // Re-check: appends since the dispatch may have changed the
+        // ratio (or another fold already ran).
+        if (self->worthCompacting(log))
+            self->compactShardLocked(s);
+    });
 }
 
 void
-PersistentScheduleCache::compactIndexLocked(Shard& shard)
+PersistentScheduleCache::clearedLocked(std::size_t s)
 {
-    std::vector<IndexEntry> live;
-    live.reserve(shard.entries.size());
-    for (const IndexEntry& slot : shard.index) {
-        if (!slot.entry)
-            continue;
-        slot.entry->index_slot = live.size();
-        live.push_back(slot);
-    }
-    shard.index = std::move(live);
-    shard.index_tombstones = 0;
-}
-
-std::optional<SearchResult>
-PersistentScheduleCache::nearestNeighbor(const std::string& arch_key,
-                                         const std::string& scheduler_key,
-                                         const std::string& evaluator_key,
-                                         const LayerSpec& target)
-{
-    // Snapshot all shards at once (fixed 0..K-1 order, no deadlock):
-    // the merged scan must see one consistent global insertion order.
-    std::vector<std::unique_lock<std::mutex>> locks;
-    locks.reserve(shards_.size());
-    for (auto& shard : shards_)
-        locks.emplace_back(shard->mutex);
-
-    const std::string target_key = target.canonicalKey();
-    const StoreEntry* best = nullptr;
-    double best_dist = 0.0;
-    bool best_arch_match = false;
-
-    // K-way merge of the per-shard seq-ascending indexes: visits
-    // candidates in exactly the global first-insertion order the base
-    // cache scans, then applies its comparator verbatim — the
-    // strict-improvement rule keeps the earliest entry on ties, so
-    // visit order is part of the bit-for-bit contract.
-    std::vector<std::size_t> cursor(shards_.size(), 0);
-    for (;;) {
-        std::size_t best_shard = shards_.size();
-        std::uint64_t min_seq = 0;
-        for (std::size_t s = 0; s < shards_.size(); ++s) {
-            std::vector<IndexEntry>& index = shards_[s]->index;
-            std::size_t& c = cursor[s];
-            while (c < index.size() && !index[c].entry)
-                ++c; // tombstone
-            if (c >= index.size())
-                continue;
-            if (best_shard == shards_.size() || index[c].seq < min_seq) {
-                best_shard = s;
-                min_seq = index[c].seq;
-            }
-        }
-        if (best_shard == shards_.size())
-            break;
-        const StoreEntry& entry =
-            *shards_[best_shard]->index[cursor[best_shard]].entry;
-        ++cursor[best_shard];
-
-        if (!entry.result.found ||
-            entry.key.scheduler_key != scheduler_key ||
-            entry.key.evaluator_key != evaluator_key)
-            continue;
-        const bool arch_match = entry.key.arch_key == arch_key;
-        if (arch_match && entry.layer.canonicalKey() == target_key)
-            continue; // the exact problem: a hit, not a neighbor
-        const double dist = canonicalLayerDistance(entry.layer, target);
-        const bool better =
-            !best || dist < best_dist - 1e-12 ||
-            (dist < best_dist + 1e-12 && arch_match && !best_arch_match);
-        if (better) {
-            best = &entry;
-            best_dist = dist;
-            best_arch_match = arch_match;
-        }
-    }
-    if (!best)
-        return std::nullopt;
-    neighbor_hits_.fetch_add(1, std::memory_order_relaxed);
-    metrics::MetricsRegistry::global()
-        .counter("cosa_cache_events_total",
-                 "Schedule-cache events by kind",
-                 {{"event", "neighbor_hit"}})
-        .inc();
-    return best->result;
-}
-
-bool
-PersistentScheduleCache::contains(const ScheduleCacheKey& key) const
-{
-    const std::string flat = key.flat();
-    const Shard& shard = *shards_[shardOf(flat)];
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    return shard.entries.find(flat) != shard.entries.end();
-}
-
-std::size_t
-PersistentScheduleCache::size() const
-{
-    std::size_t total = 0;
-    for (const auto& shard : shards_) {
-        std::lock_guard<std::mutex> lock(shard->mutex);
-        total += shard->entries.size();
-    }
-    return total;
-}
-
-std::int64_t
-PersistentScheduleCache::capacity() const
-{
-    return config_.capacity;
-}
-
-void
-PersistentScheduleCache::setCapacity(std::int64_t capacity)
-{
-    config_.capacity = std::max<std::int64_t>(capacity, 0);
-    distributeBudgets(config_.capacity);
-    for (std::size_t i = 0; i < shards_.size(); ++i) {
-        Shard& shard = *shards_[i];
-        std::lock_guard<std::mutex> lock(shard.mutex);
-        enforceBudgetLocked(shard);
-        maybeCompactLocked(shard, i);
-    }
-}
-
-ScheduleCacheStats
-PersistentScheduleCache::stats() const
-{
-    ScheduleCacheStats out;
-    for (const auto& shard : shards_) {
-        std::lock_guard<std::mutex> lock(shard->mutex);
-        out.hits += shard->hits;
-        out.misses += shard->misses;
-        out.entries += static_cast<std::int64_t>(shard->entries.size());
-        out.evictions += shard->evictions;
-    }
-    out.neighbor_hits = neighbor_hits_.load(std::memory_order_relaxed);
-    return out;
-}
-
-void
-PersistentScheduleCache::clear()
-{
-    for (std::size_t i = 0; i < shards_.size(); ++i) {
-        Shard& shard = *shards_[i];
-        std::lock_guard<std::mutex> lock(shard.mutex);
-        shard.entries.clear();
-        shard.index.clear();
-        shard.index_tombstones = 0;
-        shard.lru.clear();
-        shard.live_bytes = 0;
-        Status truncated = shard.writer.openTruncated(
-            shard.path, static_cast<std::uint32_t>(i),
-            static_cast<std::uint32_t>(shards_.size()),
-            config_.fsync_each_append);
-        if (!truncated.ok())
-            warn("cachestore: clear: ", truncated.message());
-        publishLogBytes(shard);
-    }
-}
-
-std::vector<ScheduleCache::ExportedEntry>
-PersistentScheduleCache::exportEntries() const
-{
-    std::vector<std::unique_lock<std::mutex>> locks;
-    locks.reserve(shards_.size());
-    for (const auto& shard : shards_)
-        locks.emplace_back(shard->mutex);
-
-    // Same K-way merge as nearestNeighbor: global insertion order.
-    std::vector<ExportedEntry> out;
-    std::vector<std::size_t> cursor(shards_.size(), 0);
-    for (;;) {
-        std::size_t best_shard = shards_.size();
-        std::uint64_t min_seq = 0;
-        for (std::size_t s = 0; s < shards_.size(); ++s) {
-            const std::vector<IndexEntry>& index = shards_[s]->index;
-            std::size_t& c = cursor[s];
-            while (c < index.size() && !index[c].entry)
-                ++c;
-            if (c >= index.size())
-                continue;
-            if (best_shard == shards_.size() || index[c].seq < min_seq) {
-                best_shard = s;
-                min_seq = index[c].seq;
-            }
-        }
-        if (best_shard == shards_.size())
-            break;
-        const StoreEntry& entry =
-            *shards_[best_shard]->index[cursor[best_shard]].entry;
-        ++cursor[best_shard];
-        ExportedEntry exported;
-        exported.key = entry.key;
-        exported.result = entry.result;
-        exported.layer = entry.layer;
-        out.push_back(std::move(exported));
-    }
-    return out;
-}
-
-ScheduleCache::IoResult
-PersistentScheduleCache::save(const std::string& path) const
-{
-    // Debug exporter: funnel the live entries (global insertion order)
-    // through the base class's v3 text writer. The staging cache gets
-    // a budget that cannot evict during the fill.
-    ScheduleCache staging(0);
-    for (ExportedEntry& entry : exportEntries())
-        staging.insert(entry.key, entry.result, entry.layer);
-    return staging.save(path);
-}
-
-ScheduleCache::IoResult
-PersistentScheduleCache::load(const std::string& path)
-{
-    ScheduleCache staging(0);
-    IoResult io = staging.load(path);
-    if (!io.ok)
-        return io;
-    for (ExportedEntry& entry : staging.exportEntries())
-        insert(entry.key, entry.result, entry.layer);
-    return io;
+    ShardLog& log = logs_[s];
+    log.live_bytes = 0;
+    Status truncated = log.writer.openTruncated(
+        log.path, static_cast<std::uint32_t>(s),
+        static_cast<std::uint32_t>(shards_.size()),
+        config_.fsync_each_append);
+    if (!truncated.ok())
+        warn("cachestore: clear: ", truncated.message());
+    publishLogBytes(log);
 }
 
 void
@@ -680,124 +358,59 @@ PersistentScheduleCache::setAsyncRunner(
     runner_ = std::move(runner);
 }
 
-void
-PersistentScheduleCache::maybeCompactLocked(Shard& shard,
-                                            std::size_t shard_index)
+bool
+PersistentScheduleCache::worthCompacting(const ShardLog& log) const
 {
-    if (shard.compaction_pending)
-        return;
-    if (!config_.compaction.shouldCompact(shard.writer.bytes(),
-                                          shard.live_bytes,
-                                          logHeaderBytes()))
-        return;
-    std::function<void(std::function<void()>)> runner;
-    {
-        std::lock_guard<std::mutex> lock(runner_mutex_);
-        runner = runner_;
-    }
-    if (!runner) {
-        compactShardLocked(shard, shard_index);
-        return;
-    }
-    // Online mode: fold on the shared executor, never on the solve
-    // path. The task holds a weak_ptr — a store torn down before the
-    // continuation runs is a no-op, not a use-after-free.
-    shard.compaction_pending = true;
-    std::weak_ptr<PersistentScheduleCache> weak = weak_from_this();
-    runner([weak, shard_index] {
-        const std::shared_ptr<PersistentScheduleCache> self = weak.lock();
-        if (!self)
-            return;
-        Shard& shard = *self->shards_[shard_index];
-        std::lock_guard<std::mutex> lock(shard.mutex);
-        shard.compaction_pending = false;
-        // Re-check: appends since the dispatch may have changed the
-        // ratio (or another fold already ran).
-        if (self->config_.compaction.shouldCompact(shard.writer.bytes(),
-                                                   shard.live_bytes,
-                                                   logHeaderBytes()))
-            self->compactShardLocked(shard, shard_index);
-    });
+    return config_.compaction.shouldCompact(log.writer.bytes(),
+                                            log.live_bytes, logHeaderBytes());
 }
 
 void
-PersistentScheduleCache::compactShardLocked(Shard& shard,
-                                            std::size_t shard_index)
+PersistentScheduleCache::compactShardLocked(std::size_t s)
 {
     // Live entries in ascending seq, re-encoded as plain inserts: the
     // next generation replays to exactly the current map.
+    ShardLog& log = logs_[s];
     std::vector<std::string> payloads;
-    payloads.reserve(shard.entries.size());
-    for (const IndexEntry& slot : shard.index) {
-        if (!slot.entry)
-            continue;
-        LogRecord record;
-        record.kind = LogRecord::Kind::kInsert;
-        record.seq = slot.entry->seq;
-        record.key = slot.entry->key;
-        record.layer = slot.entry->layer;
-        record.result = slot.entry->result;
-        payloads.push_back(encodeRecord(record));
+    payloads.reserve(shards_[s]->entries.size());
+    for (const IndexSlot& slot : shards_[s]->index) {
+        if (slot.entry)
+            payloads.push_back(encodeInsert(slot.entry->seq, slot.entry->key,
+                                            slot.entry->layer,
+                                            slot.entry->result));
     }
-    const std::uint64_t old_bytes = shard.writer.bytes();
-    shard.writer.close();
-    StatusOr<std::uint64_t> folded = compactShardFile(
-        shard.path, static_cast<std::uint32_t>(shard_index),
-        static_cast<std::uint32_t>(shards_.size()), payloads);
-    const std::uint64_t new_bytes =
-        folded.ok() ? folded.value() : old_bytes;
+    const std::uint32_t shard_index = static_cast<std::uint32_t>(s);
+    const std::uint32_t num_shards =
+        static_cast<std::uint32_t>(shards_.size());
+    const std::uint64_t old_bytes = log.writer.bytes();
+    log.writer.close();
+    StatusOr<std::uint64_t> folded =
+        compactShardFile(log.path, shard_index, num_shards, payloads);
     if (!folded.ok())
-        warn("cachestore: compaction of ", shard.path,
+        warn("cachestore: compaction of ", log.path,
              " failed: ", folded.status().message(),
              " (old generation kept)");
-    Status reopened = shard.writer.open(
-        shard.path, static_cast<std::uint32_t>(shard_index),
-        static_cast<std::uint32_t>(shards_.size()), new_bytes,
-        config_.fsync_each_append);
+    Status reopened = log.writer.open(
+        log.path, shard_index, num_shards,
+        folded.ok() ? folded.value() : old_bytes, config_.fsync_each_append);
     if (!reopened.ok()) {
-        warn("cachestore: reopen after compaction of ", shard.path,
+        warn("cachestore: reopen after compaction of ", log.path,
              " failed: ", reopened.message());
         return;
     }
     if (folded.ok()) {
-        ++shard.compactions;
-        shard.compaction_counter->inc();
-        // Index tombstones are all folded away on disk; fold the
-        // in-memory index too so scans stay compact.
-        compactIndexLocked(shard);
+        ++log.compactions;
+        log.compaction_counter->inc();
     }
-    publishLogBytes(shard);
-}
-
-void
-PersistentScheduleCache::compactAll()
-{
-    for (std::size_t i = 0; i < shards_.size(); ++i) {
-        Shard& shard = *shards_[i];
-        std::lock_guard<std::mutex> lock(shard.mutex);
-        if (config_.compaction.shouldCompact(shard.writer.bytes(),
-                                             shard.live_bytes,
-                                             logHeaderBytes()))
-            compactShardLocked(shard, i);
-    }
-}
-
-void
-PersistentScheduleCache::compactAllUnconditionally()
-{
-    for (std::size_t i = 0; i < shards_.size(); ++i) {
-        Shard& shard = *shards_[i];
-        std::lock_guard<std::mutex> lock(shard.mutex);
-        compactShardLocked(shard, i);
-    }
+    publishLogBytes(log);
 }
 
 Status
 PersistentScheduleCache::syncAll()
 {
-    for (auto& shard : shards_) {
-        std::lock_guard<std::mutex> lock(shard->mutex);
-        Status synced = shard->writer.sync();
+    for (std::size_t s = 0; s < shards_.size(); ++s) {
+        std::lock_guard<std::mutex> lock(shards_[s]->mutex);
+        Status synced = logs_[s].writer.sync();
         if (!synced.ok())
             return synced;
     }
@@ -810,34 +423,35 @@ PersistentScheduleCache::storeStats() const
     StoreStats out;
     out.dir = config_.dir;
     out.num_shards = config_.num_shards;
-    out.capacity = config_.capacity;
+    out.capacity = capacity();
     out.cache = stats();
     out.shards.reserve(shards_.size());
-    for (const auto& shard : shards_) {
-        std::lock_guard<std::mutex> lock(shard->mutex);
-        ShardStats s;
-        s.entries = static_cast<std::int64_t>(shard->entries.size());
-        s.hits = shard->hits;
-        s.misses = shard->misses;
-        s.inserts = shard->inserts;
-        s.evictions = shard->evictions;
-        s.compactions = shard->compactions;
-        s.records_recovered = shard->records_recovered;
-        s.records_skipped = shard->records_skipped;
-        s.log_bytes = shard->writer.bytes();
-        s.live_bytes = shard->live_bytes;
-        s.torn_tail_recovered = shard->torn_tail_recovered;
-        out.shards.push_back(s);
+    for (std::size_t s = 0; s < shards_.size(); ++s) {
+        const Shard& shard = *shards_[s];
+        const ShardLog& log = logs_[s];
+        std::lock_guard<std::mutex> lock(shard.mutex);
+        ShardStats stats;
+        stats.entries = static_cast<std::int64_t>(shard.entries.size());
+        stats.hits = shard.hits;
+        stats.misses = shard.misses;
+        stats.inserts = shard.inserts;
+        stats.evictions = shard.evictions;
+        stats.compactions = log.compactions;
+        stats.records_recovered = log.records_recovered;
+        stats.records_skipped = log.records_skipped;
+        stats.log_bytes = log.writer.bytes();
+        stats.live_bytes = log.live_bytes;
+        stats.torn_tail_recovered = log.torn_tail_recovered;
+        out.shards.push_back(stats);
     }
     return out;
 }
 
 void
-PersistentScheduleCache::publishLogBytes(Shard& shard)
+PersistentScheduleCache::publishLogBytes(ShardLog& log)
 {
-    if (shard.log_bytes_gauge)
-        shard.log_bytes_gauge->set(
-            static_cast<double>(shard.writer.bytes()));
+    if (log.log_bytes_gauge)
+        log.log_bytes_gauge->set(static_cast<double>(log.writer.bytes()));
 }
 
 } // namespace cachestore

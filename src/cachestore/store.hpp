@@ -2,43 +2,27 @@
 
 /**
  * @file
- * PersistentScheduleCache — the schedule cache as a sharded on-disk
- * tier behind the ScheduleCache interface.
+ * PersistentScheduleCache — the schedule cache with an append-only log
+ * behind every shard.
  *
- * The store hashes each cache key's flat fingerprint (canonical layer
- * | arch | scheduler config | evaluator) into K shards. Each shard
- * owns its own append-only log file (see log.hpp), lock, LRU budget
- * and metrics, so shards never contend with each other and N daemon
- * replicas can mount disjoint shard directories — or share one, since
- * every mutation is durable before it is published.
+ * The sharded index (maps, LRU, scan order, counters) is ScheduleCache
+ * itself; this subclass adds only durability. Each shard owns a log
+ * file (see log.hpp) appended under the shard lock, so shards never
+ * contend with each other and N daemon replicas can mount disjoint
+ * shard directories — or share one, since every mutation is durable
+ * before it is published. A MANIFEST pins the shard count.
  *
  * Determinism contract (asserted bit-for-bit by the tests): a fixed
  * ScheduleRequest returns byte-identical results whether it runs on
- * the in-memory base cache or this store, at 1 shard or 16, freshly
- * opened or reloaded, before or after torn-tail recovery. The two
- * load-bearing pieces:
- *
- *  - every entry carries a store-global monotonic sequence number
- *    (persisted in its log record; an overwrite keeps the original),
- *    so the per-shard indexes merge back into the exact global
- *    first-insertion order the base cache scans;
- *  - nearestNeighbor() runs that K-way merge over compact per-shard
- *    index vectors and applies the base cache's comparator and
- *    exclusion rules verbatim — same candidates, same distance calls,
- *    same tie-breaks, so warm-start quality is identical to the
- *    single-map baseline.
- *
- * The v3 text snapshot stays supported as the debug import/export
- * format: save() writes one from the live entries, load() merges one
- * in (each entry re-logged through the normal insert path).
+ * the in-memory cache or this store, at 1 shard or 16, freshly opened
+ * or reloaded, before or after torn-tail recovery. Every log record
+ * carries its entry's global sequence number, so replay rebuilds the
+ * exact global first-insertion order the scans merge by.
  */
 
-#include <atomic>
 #include <functional>
-#include <list>
 #include <memory>
 #include <mutex>
-#include <unordered_map>
 
 #include "cachestore/compact.hpp"
 #include "cachestore/log.hpp"
@@ -79,7 +63,7 @@ struct ShardStats
     std::int64_t compactions = 0;
     /** Records replayed from the log at open(). */
     std::int64_t records_recovered = 0;
-    /** Bad tail frames dropped at open() (torn/bit-flipped). */
+    /** Bad frames dropped at open() (corrupt or torn). */
     std::int64_t records_skipped = 0;
     std::uint64_t log_bytes = 0;
     std::uint64_t live_bytes = 0;
@@ -96,7 +80,7 @@ struct StoreStats
     std::vector<ShardStats> shards;
 };
 
-/** The sharded persistent tier. Create via open(); thread-safe. */
+/** The persistent tier. Create via open(); thread-safe. */
 class PersistentScheduleCache final
     : public ScheduleCache,
       public std::enable_shared_from_this<PersistentScheduleCache>
@@ -104,7 +88,7 @@ class PersistentScheduleCache final
   public:
     /**
      * Mount @p config.dir: create it (with a manifest) when missing,
-     * otherwise replay every shard log — recovering torn tails per
+     * otherwise replay every shard log in parallel — recovering per
      * log.hpp — and resume appending. Fails only on real IO errors or
      * a layout mismatch (foreign files, manifest shard-count
      * conflict); crash damage recovers.
@@ -112,30 +96,6 @@ class PersistentScheduleCache final
     static StatusOr<std::shared_ptr<PersistentScheduleCache>> open(
         StoreConfig config);
 
-    ~PersistentScheduleCache() override;
-
-    // --- ScheduleCache interface ------------------------------------
-    std::optional<SearchResult> lookup(const ScheduleCacheKey& key)
-        override;
-    void insert(const ScheduleCacheKey& key, const SearchResult& result,
-                const LayerSpec& layer) override;
-    std::optional<SearchResult> nearestNeighbor(
-        const std::string& arch_key, const std::string& scheduler_key,
-        const std::string& evaluator_key, const LayerSpec& target)
-        override;
-    bool contains(const ScheduleCacheKey& key) const override;
-    std::size_t size() const override;
-    std::int64_t capacity() const override;
-    void setCapacity(std::int64_t capacity) override;
-    ScheduleCacheStats stats() const override;
-    void clear() override;
-    std::vector<ExportedEntry> exportEntries() const override;
-    /** Debug export: the live entries as a v3 text snapshot. */
-    IoResult save(const std::string& path) const override;
-    /** Debug import: merge a v3 text snapshot through insert(). */
-    IoResult load(const std::string& path) override;
-
-    // --- store-specific ---------------------------------------------
     /**
      * Mount an async task runner (e.g. a lowest-tier submit on the
      * engine's shared Executor): compaction then runs as a threadless
@@ -145,95 +105,44 @@ class PersistentScheduleCache final
      */
     void setAsyncRunner(std::function<void(std::function<void()>)> runner);
 
-    /** Fold every shard that the policy says is worth it (inline). */
-    void compactAll();
-
-    /** Force-fold every shard regardless of policy (offline tooling). */
-    void compactAllUnconditionally();
-
     /** Flush batched appends (no-op when fsync_each_append). */
     Status syncAll();
 
     StoreStats storeStats() const;
-    const StoreConfig& config() const { return config_; }
 
   private:
-    struct StoreEntry
+    /** The durable side of one shard, guarded by that shard's lock. */
+    struct ShardLog
     {
-        SearchResult result;
-        LayerSpec layer;
-        ScheduleCacheKey key;
-        std::uint64_t seq = 0;
-        /** Framed size of this entry's latest insert record. */
-        std::uint64_t record_bytes = 0;
-        std::list<const std::string*>::iterator lru_it;
-        std::size_t index_slot = 0;
-    };
-
-    /** One slot of a shard's seq-ordered scan index. Entry pointers
-     *  stay valid across unrelated map mutations (node-based map);
-     *  an evicted entry tombstones its slot (null). */
-    struct IndexEntry
-    {
-        std::uint64_t seq = 0;
-        StoreEntry* entry = nullptr;
-    };
-
-    struct Shard
-    {
-        mutable std::mutex mutex;
         std::string path;
-        std::unordered_map<std::string, StoreEntry> entries;
-        /** Ascending seq; the shard's lane of the global NN merge. */
-        std::vector<IndexEntry> index;
-        std::size_t index_tombstones = 0;
-        /** Flat keys by recency, least recent first. Points at the
-         *  entries map's keys (node-based, so stable until erase). */
-        std::list<const std::string*> lru;
         LogWriter writer;
+        /** Framed bytes of the live entries' latest records. */
         std::uint64_t live_bytes = 0;
-        std::int64_t budget = 0; //!< this shard's LRU bound; 0 = none
         bool compaction_pending = false;
-
-        std::int64_t hits = 0;
-        std::int64_t misses = 0;
-        std::int64_t inserts = 0;
-        std::int64_t evictions = 0;
         std::int64_t compactions = 0;
         std::int64_t records_recovered = 0;
         std::int64_t records_skipped = 0;
         bool torn_tail_recovered = false;
-
-        metrics::Counter* hit_counter = nullptr;
-        metrics::Counter* miss_counter = nullptr;
-        metrics::Counter* insert_counter = nullptr;
-        metrics::Counter* evict_counter = nullptr;
-        metrics::Counter* eviction_total = nullptr;
         metrics::Counter* compaction_counter = nullptr;
         metrics::Gauge* log_bytes_gauge = nullptr;
     };
 
-    PersistentScheduleCache() = default;
+    explicit PersistentScheduleCache(StoreConfig config);
 
-    Status openLocked(); //!< open()-time body (no concurrency yet)
-    std::size_t shardOf(const std::string& flat_key) const;
-    /** Per-shard budgets for @p total (effective min: one per shard). */
-    void distributeBudgets(std::int64_t total);
-    void insertOneLocked(Shard& shard, const ScheduleCacheKey& key,
-                         const SearchResult& result, const LayerSpec& layer,
-                         bool log_it);
-    void evictOneLocked(Shard& shard);
-    void enforceBudgetLocked(Shard& shard);
-    void compactIndexLocked(Shard& shard);
-    /** Policy check + inline fold or async dispatch. */
-    void maybeCompactLocked(Shard& shard, std::size_t shard_index);
-    void compactShardLocked(Shard& shard, std::size_t shard_index);
-    void publishLogBytes(Shard& shard);
+    /** Replay every shard log, then open the writers. */
+    Status replay();
+
+    void logInsertLocked(std::size_t s, Entry& entry) override;
+    void logEvictLocked(std::size_t s, const Entry& entry) override;
+    void afterWriteLocked(std::size_t s) override;
+    void clearedLocked(std::size_t s) override;
+
+    bool worthCompacting(const ShardLog& log) const;
+    void compactShardLocked(std::size_t s);
+    void publishLogBytes(ShardLog& log);
 
     StoreConfig config_;
-    std::vector<std::unique_ptr<Shard>> shards_;
-    std::atomic<std::uint64_t> next_seq_{1};
-    std::atomic<std::int64_t> neighbor_hits_{0};
+    std::vector<ShardLog> logs_; //!< parallel to shards_
 
     mutable std::mutex runner_mutex_;
     std::function<void(std::function<void()>)> runner_;

@@ -1,4 +1,4 @@
-#include "engine/thread_pool.hpp"
+#include "engine/executor.hpp"
 
 #include <algorithm>
 #include <chrono>
@@ -311,30 +311,6 @@ Executor::stats() const
         }
     }
     return stats;
-}
-
-// --- ThreadPool ----------------------------------------------------------
-
-ThreadPool::ThreadPool(int num_threads)
-    : num_threads_(std::max(num_threads, 1))
-{
-}
-
-void
-ThreadPool::run(std::size_t num_tasks,
-                const std::function<void(std::size_t)>& task) const
-{
-    if (num_tasks == 0)
-        return;
-    if (num_threads_ == 1 || num_tasks == 1) {
-        for (std::size_t i = 0; i < num_tasks; ++i)
-            runTaskContained(task, i);
-        return;
-    }
-    const int workers = static_cast<int>(std::min<std::size_t>(
-        static_cast<std::size_t>(num_threads_), num_tasks));
-    Executor executor(workers, 1);
-    executor.submit(num_tasks, task)->wait();
 }
 
 } // namespace cosa

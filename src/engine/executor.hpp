@@ -36,11 +36,6 @@
  * are identical for any worker count, any co-tenant mix and any
  * dispatch interleaving as long as each task is a pure function of its
  * index.
- *
- * `ThreadPool` survives as the historical fixed-batch façade (a
- * transient private Executor per run) for callers that want the
- * pre-service behavior — notably the throughput bench's "every job
- * spins its own pool" baseline.
  */
 
 #include <atomic>
@@ -209,35 +204,6 @@ class Executor
     std::int64_t sets_submitted_ = 0;
     std::int64_t sets_completed_ = 0;
     std::vector<std::thread> workers_;
-};
-
-/**
- * Historical fixed-batch façade: run one indexed batch and block. Each
- * run() spins a private Executor (the pre-service "every job owns a
- * pool" behavior, thread spawn/join cost included), degrading to
- * inline execution for a single worker.
- */
-class ThreadPool
-{
-  public:
-    /**
-     * @param num_threads worker count; values < 1 clamp to 1, and the
-     *        pool degrades to inline execution for a single worker.
-     */
-    explicit ThreadPool(int num_threads);
-
-    /**
-     * Run @p task(i) for every i in [0, num_tasks) across the workers.
-     * Blocks until all tasks complete. A throwing task is contained by
-     * the executor firewall (logged + counted), never rethrown here.
-     */
-    void run(std::size_t num_tasks,
-             const std::function<void(std::size_t)>& task) const;
-
-    int numThreads() const { return num_threads_; }
-
-  private:
-    int num_threads_ = 1;
 };
 
 } // namespace cosa

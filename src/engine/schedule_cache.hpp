@@ -22,24 +22,39 @@
  * branch-and-bound on its relatives — the cross-layer analogue of the
  * per-node dual warm starts inside one solve.
  *
- * The cache also persists across processes: save() writes a versioned
- * text snapshot (bit-exact doubles) and load() merges one back, so
- * repeated CLI runs and CI jobs reuse solves and revive cross-layer
- * warm starts (see the README for the format schema).
+ * Layout: the entries are hashed (FNV-1a of the flat key) into K
+ * shards, each with its own lock, map, LRU list, budget and counters.
+ * Every entry carries a cache-global monotonic sequence number (an
+ * overwrite keeps the original), and each shard keeps a seq-ordered
+ * scan index, so a K-way merge of those indexes visits the entries in
+ * global first-insertion order — the order nearestNeighbor() breaks
+ * ties on and exportEntries()/save() emit. The shard count is
+ * therefore invisible to every caller. A plain `ScheduleCache` is one
+ * in-memory shard; cachestore::PersistentScheduleCache adds an
+ * append-only log per shard behind the same index.
+ *
+ * The cache persists across processes: save() writes a snapshot file
+ * and load() merges one back. A snapshot is one compacted single-shard
+ * log in the binary frame format of cachestore/log.hpp (bit-exact
+ * doubles, per-record checksums), so repeated CLI runs and CI jobs
+ * reuse solves and revive cross-layer warm starts.
  *
  * Long-lived services can bound the cache with an optional LRU
- * capacity (entries, not bytes): when set, inserting beyond it evicts
- * the least-recently-used entry (exact lookup hits and overwrites
- * refresh recency; nearest-neighbor scans do not). Evictions are
- * counted in the stats, so a serving deployment can watch its churn.
+ * capacity (entries, not bytes): when set, inserting beyond a shard's
+ * share of it evicts that shard's least-recently-used entry (exact
+ * lookup hits and overwrites refresh recency; nearest-neighbor scans
+ * do not). Evictions are counted in the stats, so a serving deployment
+ * can watch its churn.
  *
- * Thread-safe: a single mutex guards the map and the counters, which is
- * ample because entries are whole-layer solve results (lookups are
- * trivially cheap next to a solve).
+ * Thread-safe: operations on one key take only its shard's lock;
+ * nearestNeighbor(), exportEntries() and save() take every shard lock
+ * in index order for one consistent view.
  */
 
+#include <atomic>
 #include <cstdint>
 #include <list>
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -49,6 +64,10 @@
 #include "mapper/mapper.hpp"
 
 namespace cosa {
+
+namespace metrics {
+class Counter;
+}
 
 /** Composite key of one memoized scheduling problem. */
 struct ScheduleCacheKey
@@ -95,23 +114,26 @@ double canonicalLayerDistance(const LayerSpec& a, const LayerSpec& b);
 /**
  * Thread-safe (layer, arch, scheduler) -> SearchResult memo table.
  *
- * The class is the polymorphic cache interface of the engine: every
- * method a job touches is virtual, so a request can mount a different
- * tier (cachestore::PersistentScheduleCache, the sharded on-disk
- * store) behind the same `std::shared_ptr<ScheduleCache>` without the
- * engine knowing. The base class is the process-local in-memory
- * implementation.
+ * The public methods are virtual so a request can mount a wrapper
+ * (timing, tracing) behind the same `std::shared_ptr<ScheduleCache>`
+ * without the engine knowing. Subclasses that persist the cache hook
+ * the protected *Locked() callbacks instead of re-implementing the
+ * index.
  */
 class ScheduleCache
 {
   public:
     /**
+     * One in-memory shard.
      * @param capacity optional LRU entry bound; 0 (the default) keeps
      *        the cache unbounded.
      */
     explicit ScheduleCache(std::int64_t capacity = 0);
 
-    virtual ~ScheduleCache() = default;
+    virtual ~ScheduleCache();
+
+    ScheduleCache(const ScheduleCache&) = delete;
+    ScheduleCache& operator=(const ScheduleCache&) = delete;
 
     /**
      * Look up @p key; counts a hit or a miss (a hit refreshes the
@@ -157,7 +179,9 @@ class ScheduleCache
     /**
      * Change the LRU entry bound (0 = unbounded). Shrinking below the
      * current size evicts least-recently-used entries immediately
-     * (counted in stats().evictions).
+     * (counted in stats().evictions). A bounded cache keeps at least
+     * one entry per shard, so the effective bound is
+     * max(capacity, shard count).
      */
     virtual void setCapacity(std::int64_t capacity);
 
@@ -176,10 +200,9 @@ class ScheduleCache
     };
 
     /**
-     * Every live entry in first-insertion order (the same order save()
-     * writes and nearestNeighbor() scans). The snapshot is a deep copy
-     * taken under the lock — format converters (binary shard <-> text
-     * snapshot) iterate it without holding the cache up.
+     * Every live entry in global first-insertion order (the order
+     * save() writes and nearestNeighbor() scans), as a deep copy taken
+     * under the locks.
      */
     virtual std::vector<ExportedEntry> exportEntries() const;
 
@@ -189,87 +212,145 @@ class ScheduleCache
         bool ok = false;
         std::string error;   //!< empty on success
         std::int64_t entries = 0; //!< written / merged
-        /** load() only: records dropped because they were truncated,
-         *  failed their checksum or failed to parse (counted and
-         *  logged; the surviving entries still merge). */
+        /** load() only: records dropped because they failed their
+         *  checksum or decode, were cut short by the end of the file,
+         *  or were skipped by the `cache.load_entry` failpoint (counted
+         *  and logged; the surviving records still merge). */
         std::int64_t skipped = 0;
     };
 
     /**
-     * Write every entry to @p path in the versioned text format
-     * (header `cosa-schedule-cache v3` followed by the configured LRU
-     * `capacity`; doubles at max_digits10, so a round trip is
-     * bit-exact; every entry carries an FNV-1a checksum line).
-     * Crash-safe: the snapshot is written to a temporary sibling file
-     * and atomically renamed over @p path, so a crash mid-save can
-     * never truncate an existing snapshot. Missing parent directories
-     * are created. Counters are not persisted.
+     * Write every entry to @p path as one compacted single-shard log
+     * (first-insertion order, one insert record each). Crash-safe: the
+     * file is written to a `.tmp` sibling, fsynced and atomically
+     * renamed over @p path, so a failure mid-save never truncates an
+     * existing snapshot. Missing parent directories are created.
+     * Counters and the capacity bound are not persisted.
      */
     virtual IoResult save(const std::string& path) const;
 
     /**
-     * Merge a snapshot written by save() into this cache: entries keep
-     * insertion order from the file, existing keys are overwritten. A
-     * header/version mismatch fails without touching the cache; a
-     * corrupt, bit-flipped or truncated *record* is skipped (counted
-     * in IoResult::skipped, logged, `cosa_cache_events_total{event=
-     * "corrupt_entry"}`) and every surviving record still merges — one
-     * damaged entry no longer rejects the snapshot. Hit/miss counters
-     * are untouched. The snapshot's LRU capacity is adopted when this
-     * cache is unbounded (so a bounded cache round-trips bounded); an
-     * explicitly configured bound on the loading cache wins, and
-     * pre-checksum v1/v2 snapshots load as before (parse-checked
-     * only).
+     * Merge a snapshot (or any shard log) into this cache through
+     * insert(): entries keep the file's order, existing keys are
+     * overwritten. A missing file or a foreign header (an old text
+     * snapshot, say) fails without touching the cache. A record that
+     * fails its checksum or decode is skipped (counted in
+     * IoResult::skipped, `cosa_cache_events_total{event=
+     * "corrupt_entry"}`) and the scan goes on; a record cut short by
+     * the end of the file ends it. Hit/miss counters are untouched.
      */
     virtual IoResult load(const std::string& path);
 
-  private:
+  protected:
+    /** One cached problem. */
     struct Entry
     {
-        SearchResult result;
+        ScheduleCacheKey key;
         LayerSpec layer;
-        std::string layer_key;
-        std::string arch_key;
-        std::string scheduler_key;
-        std::string evaluator_key;
-        /** Position in lru_ (stable across list mutations). */
-        std::list<std::string>::iterator lru_it;
-        /** This entry's slot in insertion_order_ (O(1) eviction). */
-        std::size_t order_index = 0;
+        SearchResult result;
+        /** Global first-insertion sequence number. */
+        std::uint64_t seq = 0;
+        /** Framed size of the entry's latest log record (logged
+         *  shards only; 0 in memory). */
+        std::uint64_t record_bytes = 0;
+        /** Position in the shard's LRU list. */
+        std::list<const std::string*>::iterator lru_it;
+        /** This entry's slot in the shard's scan index. */
+        std::size_t index_slot = 0;
     };
 
-    /** insert() body; the caller holds mutex_. */
-    void insertLocked(const ScheduleCacheKey& key, const SearchResult& result,
-                      const LayerSpec& layer);
+    /** One slot of a shard's seq-ordered scan index. Entry pointers
+     *  stay valid across unrelated map mutations (node-based map); an
+     *  erased entry tombstones its slot (null). */
+    struct IndexSlot
+    {
+        std::uint64_t seq = 0;
+        Entry* entry = nullptr;
+    };
 
-    /** Drop the least-recently-used entry; the caller holds mutex_. */
-    void evictOneLocked();
+    /** Registry counters of one shard (`shard` label). */
+    struct ShardMetrics
+    {
+        metrics::Counter* hit = nullptr;
+        metrics::Counter* miss = nullptr;
+        metrics::Counter* insert = nullptr;
+        metrics::Counter* evict = nullptr;
+        metrics::Counter* neighbor_hit = nullptr;
+        metrics::Counter* corrupt_entry = nullptr;
+        metrics::Counter* evictions_total = nullptr;
+    };
 
-    /** Evict down to capacity_ (when bounded); caller holds mutex_. */
-    void enforceCapacityLocked();
+    struct Shard
+    {
+        mutable std::mutex mutex;
+        std::unordered_map<std::string, Entry> entries;
+        /** Ascending seq; the shard's lane of the global merge. */
+        std::vector<IndexSlot> index;
+        std::size_t index_tombstones = 0;
+        /** Flat keys by recency, least recent first. Points at the
+         *  entries map's keys (node-based, so stable until erase). */
+        std::list<const std::string*> lru;
+        std::int64_t budget = 0; //!< this shard's LRU bound; 0 = none
+        std::int64_t hits = 0;
+        std::int64_t misses = 0;
+        std::int64_t inserts = 0;
+        std::int64_t evictions = 0;
+        const ShardMetrics* metrics = nullptr;
+    };
 
-    /** Rebuild insertion_order_ without tombstones once they dominate;
-     *  caller holds mutex_. */
-    void compactOrderLocked();
+    /** @p num_shards shards labeled "0".."K-1" in the metrics; 0
+     *  means the one in-memory shard labeled "local". */
+    ScheduleCache(std::int64_t capacity, std::size_t num_shards);
 
-    mutable std::mutex mutex_;
-    std::unordered_map<std::string, Entry> entries_;
     /**
-     * Flat keys in first-insertion order (deterministic NN scans and
-     * save() order). Eviction tombstones its slot (empty string, O(1))
-     * instead of erasing; compactOrderLocked() reclaims the slots once
-     * tombstones outnumber live entries, so sustained churn on a
-     * bounded cache stays amortized O(1) per eviction.
+     * Insert or refresh @p flat in @p shard (caller holds its lock). A
+     * new entry takes @p seq (0 = the next global seq) and joins the
+     * LRU tail and the scan index; an existing one keeps its seq and
+     * moves to the LRU tail. The caller fills key/layer/result.
      */
-    std::vector<std::string> insertion_order_;
-    std::size_t order_tombstones_ = 0;
-    /** Flat keys by recency, least recent first. */
-    std::list<std::string> lru_;
-    std::int64_t capacity_ = 0; //!< 0 = unbounded
-    std::int64_t hits_ = 0;
-    std::int64_t misses_ = 0;
-    std::int64_t neighbor_hits_ = 0;
-    std::int64_t evictions_ = 0;
+    std::pair<Entry*, bool> upsertLocked(Shard& shard, std::string&& flat,
+                                         std::uint64_t seq);
+
+    /** Remove @p it from @p shard (caller holds its lock). */
+    void eraseLocked(
+        Shard& shard,
+        std::unordered_map<std::string, Entry>::iterator it);
+
+    // --- durability hooks, called with shard s locked ---------------
+    /** The entry was inserted or overwritten. */
+    virtual void logInsertLocked(std::size_t /*s*/, Entry& /*entry*/) {}
+    /** The entry is about to be evicted. */
+    virtual void logEvictLocked(std::size_t /*s*/, const Entry& /*entry*/)
+    {
+    }
+    /** A mutation of shard s (an insert and its evictions) finished. */
+    virtual void afterWriteLocked(std::size_t /*s*/) {}
+    /** Shard s was just emptied by clear(). */
+    virtual void clearedLocked(std::size_t /*s*/) {}
+
+    std::vector<std::unique_ptr<Shard>> shards_;
+    /** Next global sequence number (replay resumes it past the log). */
+    std::atomic<std::uint64_t> next_seq_{1};
+
+  private:
+    std::size_t shardOf(const std::string& flat_key) const;
+
+    /** Evict LRU entries of shard @p s down to its budget. */
+    void enforceBudgetLocked(std::size_t s);
+
+    /** Every shard lock, in index order. */
+    std::vector<std::unique_lock<std::mutex>> lockAll() const;
+
+    /** Visit every live entry as (entry, shard) in global seq order —
+     *  the K-way merge of the shard indexes. Caller holds lockAll(). */
+    template <class Visit>
+    void scanLocked(Visit&& visit) const;
+
+    /** The process-wide counters of one shard label. */
+    static const ShardMetrics& metricsFor(const std::string& label);
+
+    std::atomic<std::int64_t> capacity_{0}; //!< 0 = unbounded
+    std::atomic<std::int64_t> neighbor_hits_{0};
 };
 
 } // namespace cosa

@@ -88,7 +88,7 @@
 #include "engine/network_result.hpp"
 #include "engine/schedule_cache.hpp"
 #include "engine/schedule_job.hpp"
-#include "engine/thread_pool.hpp"
+#include "engine/executor.hpp"
 #include "mapper/exhaustive_mapper.hpp"
 #include "mapper/hybrid_mapper.hpp"
 #include "mapper/random_mapper.hpp"

@@ -299,6 +299,39 @@ TEST(CachestoreLog, RecoversBitFlippedTailRecord)
     });
 }
 
+TEST(CachestoreLog, SkipsCorruptMidFileRecordAndReadsOn)
+{
+    TempLog file("mid_flip");
+    LogWriter writer;
+    ASSERT_TRUE(writer.open(file.path(), 0, 1, 0, false).ok());
+    for (int i = 0; i < 4; ++i)
+        ASSERT_TRUE(writer.append(encodeRecord(sampleInsert(i))).ok());
+    writer.close();
+    // Flip a payload byte of the second record: the frame still fits,
+    // so only that record is lost and the scan frames the next one.
+    const std::uint64_t second =
+        logHeaderBytes() + framedBytes(encodeRecord(sampleInsert(0)));
+    {
+        std::fstream f(file.path(), std::ios::in | std::ios::out |
+                                        std::ios::binary);
+        f.seekg(static_cast<std::streamoff>(second + 20));
+        char b = 0;
+        f.get(b);
+        f.seekp(static_cast<std::streamoff>(second + 20));
+        f.put(static_cast<char>(b ^ 0x40));
+    }
+
+    const LogReadResult read = readLog(file.path());
+    ASSERT_TRUE(read.ok) << read.error;
+    ASSERT_EQ(read.records.size(), 3u);
+    EXPECT_EQ(read.records[0].key.arch_key, "simba/pe0");
+    EXPECT_EQ(read.records[1].key.arch_key, "simba/pe2");
+    EXPECT_EQ(read.records[2].key.arch_key, "simba/pe3");
+    EXPECT_EQ(read.records_skipped, 1);
+    EXPECT_FALSE(read.torn_tail);
+    EXPECT_EQ(read.valid_bytes, std::filesystem::file_size(file.path()));
+}
+
 TEST(CachestoreLog, MissingFileIsAnEmptyShard)
 {
     const LogReadResult read = readLog("cosa_cachestore_no_such.log");

@@ -256,10 +256,10 @@ TEST(CachestoreStore, EvictionsPersistAndCountInMetrics)
               static_cast<std::int64_t>(revived->size()));
 }
 
-TEST(CachestoreStore, TextSnapshotRoundTripsBothWays)
+TEST(CachestoreStore, SnapshotFileRoundTripsBothWays)
 {
-    TempDir dir("text");
-    const std::string snapshot = dir.path() + "/snapshot.txt";
+    TempDir dir("snapshot");
+    const std::string snapshot = dir.path() + "/snapshot.cache";
     auto store = openOrDie(fastConfig(dir.path() + "/store"));
     ASSERT_NE(store, nullptr);
     for (int i = 0; i < 25; ++i) {
@@ -267,13 +267,14 @@ TEST(CachestoreStore, TextSnapshotRoundTripsBothWays)
         store->insert(e.key, e.result, e.layer);
     }
 
-    // Store -> v3 text -> in-memory base cache.
+    // Store -> snapshot file -> in-memory cache.
     const auto saved = store->save(snapshot);
     ASSERT_TRUE(saved.ok) << saved.error;
     auto base = std::make_shared<ScheduleCache>();
     const auto loaded = base->load(snapshot);
     ASSERT_TRUE(loaded.ok) << loaded.error;
     EXPECT_EQ(loaded.entries, saved.entries);
+    EXPECT_EQ(loaded.skipped, 0);
     EXPECT_EQ(base->size(), store->size());
     for (const auto& e : store->exportEntries()) {
         const auto hit = base->lookup(e.key);
@@ -281,13 +282,91 @@ TEST(CachestoreStore, TextSnapshotRoundTripsBothWays)
         expectSameResult(e.result, *hit);
     }
 
-    // Base cache -> v3 text -> a fresh store (debug import).
+    // In-memory cache -> snapshot file -> a fresh store (import), in
+    // the same first-insertion order.
+    const std::string resaved = dir.path() + "/resaved.cache";
+    ASSERT_TRUE(base->save(resaved).ok);
     auto imported = openOrDie(fastConfig(dir.path() + "/imported"));
     ASSERT_NE(imported, nullptr);
-    const auto merged = imported->load(snapshot);
+    const auto merged = imported->load(resaved);
     ASSERT_TRUE(merged.ok) << merged.error;
     EXPECT_EQ(merged.entries, saved.entries);
-    EXPECT_EQ(imported->size(), store->size());
+    const auto before = store->exportEntries();
+    const auto after = imported->exportEntries();
+    ASSERT_EQ(before.size(), after.size());
+    for (std::size_t i = 0; i < before.size(); ++i) {
+        EXPECT_EQ(before[i].key.flat(), after[i].key.flat()) << i;
+        expectSameResult(before[i].result, after[i].result);
+    }
+}
+
+/** All 14 SearchStats fields compare bit-exact. */
+void
+expectEverySearchStatsField(const SearchStats& a, const SearchStats& b)
+{
+    EXPECT_EQ(a.samples, b.samples);
+    EXPECT_EQ(a.valid_evaluated, b.valid_evaluated);
+    EXPECT_EQ(a.search_time_sec, b.search_time_sec);
+    EXPECT_EQ(a.mip_nodes, b.mip_nodes);
+    EXPECT_EQ(a.lp_iterations, b.lp_iterations);
+    EXPECT_EQ(a.warm_starts_installed, b.warm_starts_installed);
+    EXPECT_EQ(a.warm_start_hits, b.warm_start_hits);
+    EXPECT_EQ(a.presolve_time_sec, b.presolve_time_sec);
+    EXPECT_EQ(a.root_lp_time_sec, b.root_lp_time_sec);
+    EXPECT_EQ(a.tree_time_sec, b.tree_time_sec);
+    EXPECT_EQ(a.lu_factorizations, b.lu_factorizations);
+    EXPECT_EQ(a.lu_eta_updates, b.lu_eta_updates);
+    EXPECT_EQ(a.lu_unstable_updates, b.lu_unstable_updates);
+    EXPECT_EQ(a.lu_fill_refactor_requests, b.lu_fill_refactor_requests);
+}
+
+TEST(CachestoreStore, SnapshotKeepsEverySearchStatsField)
+{
+    TempDir dir("allstats");
+    auto e = makeEntry(3);
+    SearchStats& s = e.result.stats;
+    s.samples = 501;
+    s.valid_evaluated = 17;
+    s.search_time_sec = 0.1 / 3.0;
+    s.mip_nodes = 123456789012LL;
+    s.lp_iterations = 4242;
+    s.warm_starts_installed = 2;
+    s.warm_start_hits = 1;
+    s.presolve_time_sec = 1.0 / 3.0;
+    s.root_lp_time_sec = 2.0 / 7.0;
+    s.tree_time_sec = 1e-9 / 3.0;
+    s.lu_factorizations = 33;
+    s.lu_eta_updates = 900;
+    s.lu_unstable_updates = 4;
+    s.lu_fill_refactor_requests = 5;
+
+    // save -> load on the in-memory cache.
+    const std::string snapshot = dir.path() + "/snapshot.cache";
+    ScheduleCache cache;
+    cache.insert(e.key, e.result, e.layer);
+    ASSERT_TRUE(cache.save(snapshot).ok);
+    ScheduleCache revived;
+    ASSERT_TRUE(revived.load(snapshot).ok);
+    const auto hit = revived.lookup(e.key);
+    ASSERT_TRUE(hit.has_value());
+    expectEverySearchStatsField(s, hit->stats);
+
+    // store -> export -> import -> store (after a reopen).
+    {
+        auto store = openOrDie(fastConfig(dir.path() + "/store"));
+        ASSERT_NE(store, nullptr);
+        store->insert(e.key, e.result, e.layer);
+        ASSERT_TRUE(store->save(dir.path() + "/export.cache").ok);
+        auto imported = openOrDie(fastConfig(dir.path() + "/imported"));
+        ASSERT_NE(imported, nullptr);
+        ASSERT_TRUE(imported->load(dir.path() + "/export.cache").ok);
+        ASSERT_TRUE(imported->syncAll().ok());
+    }
+    auto reopened = openOrDie(fastConfig(dir.path() + "/imported"));
+    ASSERT_NE(reopened, nullptr);
+    const auto stored = reopened->lookup(e.key);
+    ASSERT_TRUE(stored.has_value());
+    expectEverySearchStatsField(s, stored->stats);
 }
 
 TEST(CachestoreStore, CompactionBoundsLogUnderChurn)

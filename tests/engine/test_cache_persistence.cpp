@@ -14,7 +14,7 @@ class TempFile
 {
   public:
     explicit TempFile(const std::string& name)
-        : path_("cosa_cache_test_" + name + ".txt")
+        : path_("cosa_cache_test_" + name + ".cache")
     {
         std::remove(path_.c_str());
     }
@@ -67,7 +67,7 @@ TEST(ScheduleCachePersistence, RoundTripIsBitExact)
         EXPECT_EQ(replayed.layers[l].result.mapping,
                   original.layers[l].result.mapping);
         // Bit-exact doubles, not approximately equal: the file stores
-        // max_digits10 decimals.
+        // their raw IEEE-754 bits.
         EXPECT_EQ(replayed.layers[l].result.eval.cycles,
                   original.layers[l].result.eval.cycles);
         EXPECT_EQ(replayed.layers[l].result.eval.energy_pj,
@@ -75,60 +75,6 @@ TEST(ScheduleCachePersistence, RoundTripIsBitExact)
     }
     EXPECT_EQ(replayed.total_cycles, original.total_cycles);
     EXPECT_EQ(replayed.total_energy_pj, original.total_energy_pj);
-}
-
-TEST(ScheduleCachePersistence, RoundTripsLruCapacity)
-{
-    TempFile file("capacity");
-    const Workload net = workloads::resNet50();
-    const ArchSpec arch = ArchSpec::simbaBaseline();
-
-    auto cache = std::make_shared<ScheduleCache>(/*capacity=*/5);
-    const SchedulingEngine engine(fastRandomConfig(), cache);
-    engine.scheduleNetwork(net, arch);
-    ASSERT_EQ(cache->size(), 5u);
-    const auto saved = cache->save(file.path());
-    ASSERT_TRUE(saved.ok) << saved.error;
-    EXPECT_EQ(saved.entries, 5);
-
-    // A fresh default-constructed cache (the reload path that used to
-    // silently come back unbounded) adopts the persisted bound.
-    ScheduleCache revived;
-    const auto loaded = revived.load(file.path());
-    ASSERT_TRUE(loaded.ok) << loaded.error;
-    EXPECT_EQ(loaded.entries, 5);
-    EXPECT_EQ(revived.capacity(), 5);
-    EXPECT_EQ(revived.size(), 5u);
-
-    // An explicitly bounded destination keeps its own (tighter) bound
-    // and the merge respects it, counting the evictions.
-    ScheduleCache bounded(3);
-    const auto merged = bounded.load(file.path());
-    ASSERT_TRUE(merged.ok) << merged.error;
-    EXPECT_EQ(bounded.capacity(), 3);
-    EXPECT_EQ(bounded.size(), 3u);
-    EXPECT_EQ(bounded.stats().evictions, 2);
-
-    // Legacy v1 snapshots (no capacity line) still load: rewrite the
-    // file as a v1 reader would have produced it and reload.
-    {
-        std::ifstream in(file.path());
-        std::string line, rest;
-        std::getline(in, line); // v2 version header
-        rest = "cosa-schedule-cache v1\n";
-        while (std::getline(in, line)) {
-            if (line.rfind("capacity", 0) == 0)
-                continue;
-            rest += line + "\n";
-        }
-        std::ofstream out(file.path());
-        out << rest;
-    }
-    ScheduleCache legacy;
-    const auto legacy_loaded = legacy.load(file.path());
-    ASSERT_TRUE(legacy_loaded.ok) << legacy_loaded.error;
-    EXPECT_EQ(legacy_loaded.entries, 5);
-    EXPECT_EQ(legacy.capacity(), 0); // unbounded, as before
 }
 
 TEST(ScheduleCachePersistence, PreservesEvaluatorPartitioning)
@@ -195,32 +141,41 @@ TEST(ScheduleCachePersistence, RevivesNearestNeighborWarmStarts)
 TEST(ScheduleCachePersistence, RejectsWrongVersionAndMalformedFiles)
 {
     TempFile file("badversion");
-    {
-        std::ofstream out(file.path());
-        out << "cosa-schedule-cache v999\n";
-    }
+    SearchResult found;
+    found.found = true;
+    found.eval.cycles = 5.0;
+    const LayerSpec layer = LayerSpec::fromLabel("1_7_32_16_1");
+    const ScheduleCacheKey key{layer.canonicalKey(), "arch", "s", "e"};
     ScheduleCache cache;
-    const auto wrong = cache.load(file.path());
-    EXPECT_FALSE(wrong.ok);
-    EXPECT_NE(wrong.error.find("not a"), std::string::npos);
-    EXPECT_EQ(cache.stats().entries, 0);
+    cache.insert(key, found, layer);
 
-    // A truncated record is no longer fatal: it is skipped (counted)
-    // and the load as a whole succeeds with whatever survived.
+    // A text snapshot of the old v3 format is a foreign file: the load
+    // fails cleanly at the header and leaves the cache untouched.
     {
         std::ofstream out(file.path());
-        out << "cosa-schedule-cache v1\n";
+        out << "cosa-schedule-cache v3\n";
+        out << "capacity 0\n";
         out << "entry\n";
-        out << "key.layer l\n";
-        out << "garbage\n";
+        out << "key.layer " << key.layer_key << "\n";
     }
-    const auto truncated = cache.load(file.path());
-    EXPECT_TRUE(truncated.ok);
-    EXPECT_EQ(truncated.entries, 0);
-    EXPECT_EQ(truncated.skipped, 1);
-    EXPECT_EQ(cache.stats().entries, 0);
+    const auto text = cache.load(file.path());
+    EXPECT_FALSE(text.ok);
+    EXPECT_NE(text.error.find("not a"), std::string::npos);
+    EXPECT_EQ(text.entries, 0);
+    EXPECT_EQ(cache.stats().entries, 1);
+    const auto kept = cache.lookup(key);
+    ASSERT_TRUE(kept.has_value());
+    EXPECT_EQ(kept->eval.cycles, 5.0);
 
-    EXPECT_FALSE(cache.load("no_such_dir/no_such_file.txt").ok);
+    // So is a file too short to hold a header.
+    {
+        std::ofstream out(file.path(), std::ios::trunc);
+        out << "cosa";
+    }
+    EXPECT_FALSE(cache.load(file.path()).ok);
+    EXPECT_EQ(cache.stats().entries, 1);
+
+    EXPECT_FALSE(cache.load("no_such_dir/no_such_file.cache").ok);
 }
 
 TEST(ScheduleCachePersistence, LoadMergesIntoExistingEntries)

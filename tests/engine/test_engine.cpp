@@ -7,7 +7,7 @@
 #include <vector>
 
 #include "engine/scheduling_engine.hpp"
-#include "engine/thread_pool.hpp"
+#include "engine/executor.hpp"
 
 namespace cosa {
 namespace {
@@ -22,29 +22,6 @@ fastRandomConfig(int num_threads)
     config.random.max_samples = 500;
     config.random.target_valid = 1;
     return config;
-}
-
-TEST(ThreadPool, RunsEveryTaskExactlyOnce)
-{
-    for (int threads : {1, 2, 4, 7}) {
-        const std::size_t n = 100;
-        std::vector<std::atomic<int>> hits(n);
-        ThreadPool pool(threads);
-        pool.run(n, [&](std::size_t i) { ++hits[i]; });
-        for (std::size_t i = 0; i < n; ++i)
-            EXPECT_EQ(hits[i].load(), 1) << "task " << i << " with "
-                                         << threads << " threads";
-    }
-}
-
-TEST(ThreadPool, HandlesFewerTasksThanThreads)
-{
-    std::vector<std::atomic<int>> hits(2);
-    ThreadPool pool(8);
-    pool.run(2, [&](std::size_t i) { ++hits[i]; });
-    EXPECT_EQ(hits[0].load(), 1);
-    EXPECT_EQ(hits[1].load(), 1);
-    pool.run(0, [&](std::size_t) { FAIL() << "no tasks to run"; });
 }
 
 TEST(Executor, RunsEveryTaskOfEverySetOnce)
@@ -69,6 +46,15 @@ TEST(Executor, RunsEveryTaskOfEverySetOnce)
     EXPECT_EQ(stats.tasks_executed, static_cast<std::int64_t>(2 * n));
     EXPECT_EQ(stats.sets_submitted, 2);
     EXPECT_EQ(stats.sets_completed, 2);
+
+    // Fewer tasks than workers, at every width.
+    for (int threads : {1, 2, 7}) {
+        Executor narrow(threads);
+        std::vector<std::atomic<int>> few(2);
+        narrow.submit(few.size(), [&](std::size_t i) { ++few[i]; })->wait();
+        EXPECT_EQ(few[0].load(), 1) << threads << " threads";
+        EXPECT_EQ(few[1].load(), 1) << threads << " threads";
+    }
 }
 
 TEST(Executor, MaxParallelismOneRunsInIndexOrder)
@@ -94,12 +80,14 @@ TEST(Executor, MaxParallelismOneRunsInIndexOrder)
 
 TEST(Executor, EmptySetCompletesImmediately)
 {
-    Executor executor(2);
-    auto set = executor.submit(0, [](std::size_t) {
-        FAIL() << "no tasks to run";
-    });
-    EXPECT_TRUE(set->done());
-    set->wait(); // returns without blocking
+    for (int threads : {1, 8}) {
+        Executor executor(threads);
+        auto set = executor.submit(0, [](std::size_t) {
+            FAIL() << "no tasks to run";
+        });
+        EXPECT_TRUE(set->done());
+        set->wait(); // returns without blocking
+    }
 }
 
 TEST(Executor, DestructorDrainsPendingSets)

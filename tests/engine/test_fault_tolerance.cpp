@@ -11,7 +11,7 @@
 
 #include "common/failpoint.hpp"
 #include "engine/scheduler_service.hpp"
-#include "engine/thread_pool.hpp"
+#include "engine/executor.hpp"
 #include "solver/model.hpp"
 
 namespace cosa {
@@ -94,15 +94,18 @@ class ThrowingEvaluator final : public Evaluator
 
 TEST_F(FaultTolerance, ExecutorContainsThrowingTasks)
 {
-    // A task that throws must not take down the pool (or the process):
-    // the batch finishes and every non-throwing slot is written.
-    const ThreadPool pool(2);
+    // A task that throws must not take down the executor (or the
+    // process): the set finishes and every non-throwing slot is written.
+    Executor executor(2);
     std::vector<int> written(16, 0);
-    pool.run(written.size(), [&](std::size_t i) {
-        if (i % 2 == 1)
-            throw std::runtime_error("task fault");
-        written[i] = 1;
-    });
+    executor
+        .submit(written.size(),
+                [&](std::size_t i) {
+                    if (i % 2 == 1)
+                        throw std::runtime_error("task fault");
+                    written[i] = 1;
+                })
+        ->wait();
     for (std::size_t i = 0; i < written.size(); ++i)
         EXPECT_EQ(written[i], i % 2 == 0 ? 1 : 0) << "slot " << i;
 }
@@ -292,7 +295,7 @@ class TempFile
 {
   public:
     explicit TempFile(const std::string& name)
-        : path_("cosa_fault_test_" + name + ".txt")
+        : path_("cosa_fault_test_" + name + ".cache")
     {
         std::remove(path_.c_str());
         std::remove((path_ + ".tmp").c_str());
@@ -308,13 +311,20 @@ class TempFile
     std::string path_;
 };
 
+/** fillCache()'s entry @p i; its canonical key appears only in that
+ *  entry's snapshot record. */
+LayerSpec
+entryLayer(int i)
+{
+    return LayerSpec::fromLabel("1_7_32_" + std::to_string(16 + i) + "_1");
+}
+
 /** A cache with @p n distinct found entries. */
 void
 fillCache(ScheduleCache* cache, int n)
 {
     for (int i = 0; i < n; ++i) {
-        const LayerSpec layer =
-            LayerSpec::fromLabel("1_7_32_" + std::to_string(16 + i) + "_1");
+        const LayerSpec layer = entryLayer(i);
         SearchResult result;
         result.found = true;
         result.eval.valid = true;
@@ -332,6 +342,13 @@ readAll(const std::string& path)
     std::ostringstream text;
     text << in.rdbuf();
     return text.str();
+}
+
+void
+writeAll(const std::string& path, const std::string& bytes)
+{
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out << bytes;
 }
 
 TEST_F(FaultTolerance, SaveFailpointLeavesExistingSnapshotIntact)
@@ -367,19 +384,14 @@ TEST_F(FaultTolerance, BitFlippedRecordIsSkippedOnLoad)
     fillCache(&cache, 3);
     ASSERT_TRUE(cache.save(file.path()).ok);
 
-    // Flip one digit inside the second record's scalars: the line
-    // still parses, but the record's checksum no longer matches.
-    std::string text = readAll(file.path());
-    std::size_t scalars = text.find("eval.scalars ");
-    ASSERT_NE(scalars, std::string::npos);
-    scalars = text.find("eval.scalars ", scalars + 1);
-    ASSERT_NE(scalars, std::string::npos);
-    const std::size_t digit = scalars + std::string("eval.scalars ").size();
-    text[digit] = text[digit] == '9' ? '8' : '9';
-    {
-        std::ofstream out(file.path(), std::ios::binary | std::ios::trunc);
-        out << text;
-    }
+    // Flip one byte inside the second record's layer key: the frame
+    // still fits, but its checksum no longer matches. The scan skips
+    // it and reads on.
+    std::string bytes = readAll(file.path());
+    const std::size_t key = bytes.find(entryLayer(1).canonicalKey());
+    ASSERT_NE(key, std::string::npos);
+    bytes[key] ^= 0x01;
+    writeAll(file.path(), bytes);
 
     ScheduleCache survivor;
     const auto io = survivor.load(file.path());
@@ -398,14 +410,11 @@ TEST_F(FaultTolerance, TruncatedSnapshotKeepsThePrefix)
 
     // Cut the file in the middle of the last record — a crash during a
     // pre-atomic-rename writer, or a torn copy.
-    std::string text = readAll(file.path());
-    const std::size_t last_entry = text.rfind("entry\n");
-    ASSERT_NE(last_entry, std::string::npos);
-    text.resize(last_entry + 20);
-    {
-        std::ofstream out(file.path(), std::ios::binary | std::ios::trunc);
-        out << text;
-    }
+    std::string bytes = readAll(file.path());
+    const std::size_t last_key = bytes.find(entryLayer(2).canonicalKey());
+    ASSERT_NE(last_key, std::string::npos);
+    bytes.resize(last_key + 5);
+    writeAll(file.path(), bytes);
 
     ScheduleCache survivor;
     const auto io = survivor.load(file.path());
@@ -434,7 +443,7 @@ TEST_F(FaultTolerance, LoadEntryFailpointSkipsDeterministically)
 TEST_F(FaultTolerance, SaveCreatesMissingParentDirectories)
 {
     const std::string dir = "cosa_fault_test_dir";
-    const std::string path = dir + "/nested/cache.txt";
+    const std::string path = dir + "/nested/snapshot.cache";
     ScheduleCache cache;
     fillCache(&cache, 1);
     const auto saved = cache.save(path);

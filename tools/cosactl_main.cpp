@@ -18,11 +18,12 @@
  *   cache stats       the daemon's persistent-cache tier stats
  *                     (GET /v1/cache/stats; 404 without --cache-dir)
  *   cache export DIR FILE
- *                     open the binary shard directory DIR locally and
- *                     write its live entries as a v3 text snapshot
+ *                     open the shard directory DIR locally and write
+ *                     its live entries as one snapshot file (a
+ *                     compacted single-shard log)
  *   cache import FILE DIR
- *                     merge a v3 text snapshot into the binary shard
- *                     directory DIR (created when missing)
+ *                     merge a snapshot file into the shard directory
+ *                     DIR (created when missing; any shard count)
  *
  * cache export/import run locally against the shard directory — stop
  * any daemon using it first. The API key may also come from
@@ -137,8 +138,8 @@ runLocal(const std::string& text)
     return 0;
 }
 
-/** `cache export|import`: binary shard directory <-> v3 text
- *  snapshot, run locally (no daemon may be using the directory). */
+/** `cache export|import`: shard directory <-> snapshot file, run
+ *  locally (no daemon may be using the directory). */
 int
 runCacheCopy(const std::string& verb, const std::string& dir,
              const std::string& file)
