@@ -10,29 +10,42 @@
  * where P/Q are row/column permutations chosen by Markowitz ordering
  * (minimum fill estimate under a threshold-pivoting stability guard),
  * L is unit lower triangular and U upper triangular, both stored
- * sparse. FTRAN (x = B^-1 v) and BTRAN (y = B^-T v) are two sparse
- * triangular solves each instead of a dense m x m multiply.
+ * sparse. FTRAN (x = B^-1 v) and BTRAN (y = B^-T v) are two triangular
+ * solves each: the L solves skip zero multipliers, the U solves visit
+ * every step, so a solve costs O(m + nnz(LU) + nnz(etas)).
  *
  * A simplex pivot replaces one basis column. Rather than refactorizing,
  * the replacement is absorbed as a product-form eta matrix: with
  * w = B^-1 a_q (the ftran'd entering column, already computed for the
  * ratio test) and p the leaving basis position,
  *     B' = B E,   E = I + (w - e_p) e_p',
- * so B'^-1 = E^-1 B^-1 and E^-1 costs O(nnz(w)) to apply — the O(m^2)
- * dense rank-one update this file replaces. Etas accumulate in a file
- * that every FTRAN/BTRAN streams through; refactorization folds them
- * back into fresh L U factors.
+ * so B'^-1 = E^-1 B^-1 and E^-1 costs O(nnz(w)) to apply. The eta file
+ * is flat: one entries array, with a start, a pivot position and an
+ * inverse pivot per eta. Every FTRAN/BTRAN streams through it, and
+ * refactorization folds it back into fresh L U factors.
  *
  * Refactorization is *stability-triggered*, not on a fixed pivot
  * cadence: an update whose eta pivot |w_p| is small against ||w||_inf
  * (growth beyond kEtaStabilityTol) flags the representation, and the
  * eta file is also bounded by fill (total eta nonzeros against the
  * factor nonzeros) and by a hard count backstop. The simplex loops poll
- * needsRefactorization() at iteration boundaries. See
- * docs/solver-numerics.md for the full policy and tolerance table.
+ * needsRefactorization() at iteration boundaries.
+ *
+ * Factorization cost. Most basis columns are unit slack or artificial
+ * columns, so most elimination steps have a zero-cost Markowitz pivot.
+ * A bitset of candidate columns (marked when elimination rewrites a
+ * column or one of its rows drops to a single entry) finds the first
+ * such pivot without rescanning unchanged columns; only a nucleus with
+ * no zero-cost pivot pays the full scan. The pivot order is exactly
+ * the full scan's. The active submatrix and all elimination scratch
+ * live in a workspace owned by the BasisLu and reused across
+ * factorizations; copies of a BasisLu do not inherit it. See
+ * docs/solver-numerics.md for the policy, the tolerance table and why
+ * these shortcuts leave every result bit-identical.
  */
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "solver/sparse_matrix.hpp"
@@ -97,13 +110,24 @@ class BasisLu
         }
     };
 
+    /** Start loading a basis for factorize(): follow with one
+     *  addColumn() per basis position, in position order. */
+    void beginBasis();
+
+    /** Append the next basis column (row indices ascending). It is
+     *  copied into the factorization workspace. */
+    void addColumn(std::span<const Entry> col);
+
     /**
-     * Factorize the m x m basis whose column at basis position j is
-     * @p cols[j] (row indices ascending). Resets the eta file. Returns
-     * false when the basis is numerically singular (no pivot above
-     * kSingularTol survives); the factors are then unusable until the
-     * next successful factorize().
+     * Factorize the m x m basis loaded since beginBasis() (m columns
+     * over rows 0..m-1). Resets the eta file. Returns false when the
+     * basis is singular (an active column runs empty, or no pivot
+     * above kSingularTol survives); the factors are then unusable
+     * until the next successful factorize().
      */
+    bool factorize();
+
+    /** Load @p cols (column j at basis position j) and factorize. */
     bool factorize(int m, const std::vector<std::vector<Entry>>& cols);
 
     /** True when factorize() has succeeded at least once. */
@@ -136,6 +160,12 @@ class BasisLu
 
     const Stats& stats() const { return stats_; }
 
+    /** Pivot order of the last factorize(): step k eliminated row
+     *  pivotRows()[k] with basis column pivotCols()[k]. Steps a failed
+     *  factorization never reached hold -1. */
+    const std::vector<std::int32_t>& pivotRows() const { return prow_; }
+    const std::vector<std::int32_t>& pivotCols() const { return pcol_; }
+
     /** Threshold-pivoting guard: a Markowitz pivot must be at least
      *  this fraction of its column's largest active entry. */
     static constexpr double kMarkowitzThreshold = 0.05;
@@ -162,12 +192,45 @@ class BasisLu
         return by_size > by_fill ? by_size : by_fill;
     }
 
-    /** One product-form eta: column p of E holds w. */
-    struct Eta
+    /** Eta nonzeros: the off-pivot entries plus one pivot per eta. */
+    std::int64_t etaNnz() const
     {
-        std::int32_t p = 0;     //!< replaced basis position
-        double inv_pivot = 0.0; //!< 1 / w[p]
-        std::vector<Entry> off; //!< (i, w[i]) for i != p, w[i] != 0
+        return static_cast<std::int64_t>(eta_entries_.size() +
+                                         eta_pos_.size());
+    }
+
+    /**
+     * Factorization scratch, reused by every factorize() so a warm
+     * refactorization allocates nothing. A copy of a BasisLu starts
+     * with an empty workspace (a Simplex clone owns its factors and
+     * eta file, not its parent's scratch) and builds its own on first
+     * use.
+     */
+    struct Workspace
+    {
+        Workspace() = default;
+        Workspace(const Workspace&) {}
+        Workspace& operator=(const Workspace&) { return *this; }
+
+        /** Active submatrix, column-major with rows ascending: column j
+         *  is pool[beg[j], beg[j] + len[j]) with room for cap[j]
+         *  entries. A column outgrowing its room moves to the end. */
+        std::vector<Entry> pool;
+        std::vector<std::int64_t> beg;
+        std::vector<std::int32_t> len, cap;
+        std::vector<std::int32_t> row_count; //!< live entries per row
+        /** Per row, a list of the columns that (may) hold an entry of
+         *  it: row_head[i] -> node_next -> ... -> -1, node_col the
+         *  column. Fill-in prepends; cancellations leave stale ids. */
+        std::vector<std::int32_t> row_head, node_col, node_next;
+        /** Bit j set: column j is not yet pivoted. */
+        std::vector<std::uint64_t> active;
+        /** Bit j set: active column j may hold a zero-cost pivot. */
+        std::vector<std::uint64_t> candidate;
+        std::vector<Entry> mult;   //!< (row, multiplier) of the pivot column
+        std::vector<Entry> newcol; //!< merge scratch for column updates
+        std::vector<std::int32_t> prow_cols;   //!< pivot row's columns
+        std::vector<std::int32_t> col_to_step; //!< U column remap
     };
 
     int m_ = 0;
@@ -187,11 +250,17 @@ class BasisLu
     std::vector<std::int64_t> u_start_;
     std::vector<Entry> u_entries_;
 
-    std::vector<Eta> etas_;
-    std::int64_t eta_nnz_ = 0;
+    /** Eta file: eta t replaced basis position eta_pos_[t]; its
+     *  off-pivot entries (i, w[i]) are eta_entries_[eta_start_[t],
+     *  eta_start_[t + 1]). */
+    std::vector<std::int64_t> eta_start_;
+    std::vector<std::int32_t> eta_pos_;
+    std::vector<double> eta_inv_pivot_; //!< 1 / w[p] per eta
+    std::vector<Entry> eta_entries_;
     std::int64_t factor_nnz_ = 0;
 
     mutable std::vector<double> work_; //!< length-m solve scratch
+    Workspace ws_;
 
     Stats stats_;
 };

@@ -200,7 +200,7 @@ MipSolver::dfs(Simplex& splx, Rng* rng, std::int64_t node_cap,
     LpStatus node_status = LpStatus::Optimal;
 
     while (true) {
-        if (local_nodes > node_cap || nodes > params_.node_limit ||
+        if (local_nodes > node_cap || nodes >= params_.node_limit ||
             splx.iterations() > work_deadline)
             break;
         if ((ticks++ & kDeadlineCheckMask) == 0 &&

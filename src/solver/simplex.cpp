@@ -158,23 +158,22 @@ Simplex::refactorize()
     trace::Span span("simplex.refactorize", "solver", /*fine=*/true);
     COSA_FAILPOINT("simplex.factorize", ErrorCode::kSingularBasis);
     if (mode_ == BasisMode::Lu) {
-        // Gather the basis columns (implicit unit columns included) and
-        // hand them to the Markowitz LU; cost scales with fill, not m^3.
-        std::vector<std::vector<BasisLu::Entry>> cols(
-            static_cast<std::size_t>(m_));
+        // Load the basis columns (implicit unit columns included) into
+        // the LU's own workspace and factorize; cost scales with fill,
+        // not m^3.
+        lu_.beginBasis();
         for (int col = 0; col < m_; ++col) {
             const int j = basic_[col];
-            auto& out = cols[static_cast<std::size_t>(col)];
             if (j < num_structural_) {
-                const auto span = matrix_->column(j);
-                out.assign(span.begin(), span.end());
-            } else if (j < n_) {
-                out.push_back({j - num_structural_, 1.0});
-            } else {
-                out.push_back({j - n_, art_sign_[j - n_]});
+                lu_.addColumn(matrix_->column(j));
+                continue;
             }
+            const BasisLu::Entry unit =
+                j < n_ ? BasisLu::Entry{j - num_structural_, 1.0}
+                       : BasisLu::Entry{j - n_, art_sign_[j - n_]};
+            lu_.addColumn({&unit, 1});
         }
-        return lu_.factorize(m_, cols);
+        return lu_.factorize();
     }
     // Dense mode: scatter the (sparse) basis columns into a dense
     // matrix and invert with Gauss-Jordan elimination and partial
@@ -284,8 +283,8 @@ void
 Simplex::btranRow(int r)
 {
     // rho = e_r B^-1, then work_row_[j] = rho . A_j for every column.
-    // Structural columns iterate their nonzeros; slack and artificial
-    // columns are unit vectors, so their entry is a single rho element.
+    // Slack and artificial columns are unit vectors, so their entry is
+    // a single rho element.
     // Dense mode reads rho straight out of the maintained inverse; LU
     // mode obtains it with one BTRAN of the unit vector e_r.
     const double* rho;
@@ -297,11 +296,17 @@ Simplex::btranRow(int r)
     } else {
         rho = &binv_[static_cast<std::size_t>(r) * m_];
     }
-    for (int j = 0; j < num_structural_; ++j) {
-        double acc = 0.0;
-        for (const SparseMatrix::Entry& e : matrix_->column(j))
-            acc += rho[e.index] * e.value;
-        work_row_[j] = acc;
+    // Structural entries accumulate row by row through the CSR copy,
+    // skipping rows with rho_i == 0. Each work_row_[j] still adds its
+    // terms in ascending row order, and every skipped term is +-0, so
+    // the result is bit-identical to the column-wise dot products.
+    std::fill(work_row_.begin(), work_row_.begin() + num_structural_, 0.0);
+    for (int i = 0; i < m_; ++i) {
+        const double rho_i = rho[i];
+        if (rho_i == 0.0)
+            continue;
+        for (const SparseMatrix::Entry& e : matrix_->row(i))
+            work_row_[e.index] += rho_i * e.value;
     }
     for (int k = 0; k < m_; ++k) {
         work_row_[num_structural_ + k] = rho[k];

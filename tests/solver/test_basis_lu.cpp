@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include "arch/arch_spec.hpp"
@@ -233,6 +235,240 @@ TEST(BasisLu, SingularBasisRejected)
     }
 }
 
+/** What the naive pivot-rule oracle saw on one basis. */
+struct OracleRun
+{
+    std::vector<std::int32_t> rows, cols; //!< pivot (row, column) per step
+    bool ok = false;                      //!< every step found a pivot
+    int fills = 0;                        //!< fill-in entries created
+    int cancels = 0;                      //!< entries dropped by kDropTol
+    int guarded = 0;                      //!< entries skipped by the guard
+    int fill_singletons = 0;   //!< row-singleton pivots in filled columns
+    int cancel_singletons = 0; //!< row-singleton pivots on cancelled rows
+};
+
+/**
+ * Naive statement of BasisLu's documented pivot rule: a dense copy of
+ * the active submatrix, row and column counts recounted every step, and
+ * the first minimum of (r-1)(c-1) in column-then-row order among
+ * entries that clear max(kSingularTol, kMarkowitzThreshold * column
+ * max). An active empty column is structurally singular. Elimination
+ * uses the factorization's arithmetic and drop rules, so the active
+ * values (and with them the guard) agree bit for bit.
+ */
+OracleRun
+naiveMarkowitz(int m, const std::vector<std::vector<Entry>>& cols)
+{
+    const auto at = [m](int i, int j) {
+        return static_cast<std::size_t>(i) * m + j;
+    };
+    std::vector<double> a(static_cast<std::size_t>(m) * m, 0.0);
+    std::vector<char> nz(a.size(), 0), done(static_cast<std::size_t>(m), 0);
+    std::vector<char> filled(done), cancelled(done);
+    for (int j = 0; j < m; ++j) {
+        for (const Entry& e : cols[static_cast<std::size_t>(j)]) {
+            a[at(e.index, j)] = e.value;
+            nz[at(e.index, j)] = 1;
+        }
+    }
+    OracleRun run;
+    for (int k = 0; k < m; ++k) {
+        std::vector<std::int64_t> rc(static_cast<std::size_t>(m), 0),
+            cc(static_cast<std::size_t>(m), 0);
+        for (int i = 0; i < m; ++i)
+            for (int j = 0; j < m; ++j)
+                if (nz[at(i, j)])
+                    ++rc[static_cast<std::size_t>(i)],
+                        ++cc[static_cast<std::size_t>(j)];
+        int pr = -1, pc = -1;
+        std::int64_t best = -1;
+        for (int j = 0; j < m && best != 0; ++j) {
+            if (done[static_cast<std::size_t>(j)])
+                continue;
+            if (cc[static_cast<std::size_t>(j)] == 0)
+                return run; // structurally singular
+            double colmax = 0.0;
+            for (int i = 0; i < m; ++i)
+                colmax = std::max(colmax, std::abs(a[at(i, j)]));
+            const double guard = std::max(
+                BasisLu::kSingularTol, BasisLu::kMarkowitzThreshold * colmax);
+            for (int i = 0; i < m && best != 0; ++i) {
+                if (!nz[at(i, j)])
+                    continue;
+                if (std::abs(a[at(i, j)]) < guard) {
+                    ++run.guarded;
+                    continue;
+                }
+                const std::int64_t cost =
+                    (rc[static_cast<std::size_t>(i)] - 1) *
+                    (cc[static_cast<std::size_t>(j)] - 1);
+                if (best < 0 || cost < best)
+                    best = cost, pr = i, pc = j;
+            }
+        }
+        if (pr < 0)
+            return run; // numerically singular
+        run.rows.push_back(pr);
+        run.cols.push_back(pc);
+        if (rc[static_cast<std::size_t>(pr)] == 1 &&
+            cc[static_cast<std::size_t>(pc)] > 1) {
+            run.fill_singletons += filled[static_cast<std::size_t>(pc)];
+            run.cancel_singletons += cancelled[static_cast<std::size_t>(pr)];
+        }
+        const double inv_pivot = 1.0 / a[at(pr, pc)];
+        for (int j = 0; j < m; ++j) {
+            if (j == pc || !nz[at(pr, j)])
+                continue;
+            const double urj = a[at(pr, j)];
+            for (int i = 0; i < m; ++i) {
+                if (i == pr || !nz[at(i, pc)])
+                    continue;
+                const double mult = a[at(i, pc)] * inv_pivot;
+                if (!nz[at(i, j)]) {
+                    const double fill = -urj * mult;
+                    if (std::abs(fill) >
+                        BasisLu::kDropTol * std::abs(urj * mult)) {
+                        a[at(i, j)] = fill, nz[at(i, j)] = 1;
+                        ++run.fills, filled[static_cast<std::size_t>(j)] = 1;
+                    }
+                    continue;
+                }
+                const double delta = urj * mult;
+                const double updated = a[at(i, j)] - delta;
+                if (std::abs(updated) >
+                    BasisLu::kDropTol *
+                        (std::abs(a[at(i, j)]) + std::abs(delta))) {
+                    a[at(i, j)] = updated;
+                } else {
+                    a[at(i, j)] = 0.0, nz[at(i, j)] = 0;
+                    ++run.cancels, cancelled[static_cast<std::size_t>(i)] = 1;
+                }
+            }
+            a[at(pr, j)] = 0.0, nz[at(pr, j)] = 0;
+        }
+        for (int i = 0; i < m; ++i)
+            a[at(i, pc)] = 0.0, nz[at(i, pc)] = 0;
+        done[static_cast<std::size_t>(pc)] = 1;
+    }
+    run.ok = true;
+    return run;
+}
+
+/**
+ * A CoSA-shaped basis: three quarters unit columns (slacks and signed
+ * artificials on distinct rows), the rest short structural columns over
+ * CoSA's small coefficient alphabet. Structural columns share rows, so
+ * elimination creates fill-in; some copy part of an earlier column, so
+ * updates cancel exactly and rows lose entries to kDropTol; some carry
+ * an entry below the 5% guard next to a large one.
+ */
+std::vector<std::vector<Entry>>
+cosaShapedBasis(Rng& rng, int m)
+{
+    static const double kAlphabet[] = {1.0, -1.0, 2.0, 0.5, 3.0, -2.0, 4.0};
+    std::vector<int> rows(static_cast<std::size_t>(m));
+    for (int i = 0; i < m; ++i)
+        rows[static_cast<std::size_t>(i)] = i;
+    rng.shuffle(rows);
+    const int units = (3 * m + 3) / 4;
+    std::vector<std::vector<Entry>> cols;
+    for (int u = 0; u < units; ++u)
+        cols.push_back({{rows[static_cast<std::size_t>(u)],
+                         rng.nextDouble() < 0.5 ? 1.0 : -1.0}});
+    const auto pick = [&](const double* alphabet, std::size_t n) {
+        return alphabet[rng.nextBelow(n)];
+    };
+    std::vector<Entry> prev;
+    for (int s = units; s < m; ++s) {
+        std::vector<Entry> col;
+        auto put = [&col](int row, double value) {
+            for (const Entry& e : col)
+                if (e.index == row)
+                    return;
+            col.push_back({row, value});
+        };
+        put(rows[static_cast<std::size_t>(s)], pick(kAlphabet, 7));
+        if (!prev.empty() && rng.nextDouble() < 0.4) {
+            for (const Entry& e : prev)
+                if (rng.nextDouble() < 0.7)
+                    put(e.index, e.value);
+        }
+        const int extra = 2 + static_cast<int>(rng.nextBelow(3));
+        for (int t = 0; t < extra; ++t) {
+            // Mostly rows no unit column covers, so columns interact.
+            const auto uncovered = static_cast<std::uint64_t>(m - units);
+            const int r =
+                rng.nextDouble() < 0.85
+                    ? rows[static_cast<std::size_t>(units) +
+                           rng.nextBelow(uncovered)]
+                    : static_cast<int>(
+                          rng.nextBelow(static_cast<std::uint64_t>(m)));
+            put(r, rng.nextDouble() < 0.15 ? 1e-3 : pick(kAlphabet, 7));
+        }
+        std::sort(col.begin(), col.end(), [](const Entry& x, const Entry& y) {
+            return x.index < y.index;
+        });
+        prev = col;
+        cols.push_back(std::move(col));
+    }
+    rng.shuffle(cols);
+    return cols;
+}
+
+/** BasisLu picks exactly the naive rule's pivots, in order, on seeded
+ *  CoSA-shaped bases (plus one structurally singular one), and fails
+ *  exactly where the rule runs out of pivots. */
+TEST(BasisLu, PivotOrderMatchesNaiveMarkowitzRule)
+{
+    Rng rng(41);
+    OracleRun total;
+    int completed = 0;
+    std::vector<std::pair<int, std::vector<std::vector<Entry>>>> bases;
+    for (int m : {4, 9, 16, 28, 40, 57, 80}) {
+        for (int rep = 0; rep < 16; ++rep)
+            bases.emplace_back(m, cosaShapedBasis(rng, m));
+    }
+    // Structurally singular: a unit column repeated over another
+    // column leaves a row no column can pivot on.
+    auto singular = cosaShapedBasis(rng, 24);
+    const auto unit = std::find_if(singular.begin(), singular.end(),
+                                   [](const auto& c) { return c.size() == 1; });
+    const auto structural =
+        std::find_if(singular.begin(), singular.end(),
+                     [](const auto& c) { return c.size() > 1; });
+    ASSERT_TRUE(unit != singular.end() && structural != singular.end());
+    *structural = *unit;
+    bases.emplace_back(24, singular);
+
+    for (std::size_t b = 0; b < bases.size(); ++b) {
+        const auto& [m, cols] = bases[b];
+        const OracleRun oracle = naiveMarkowitz(m, cols);
+        BasisLu lu;
+        const bool ok = lu.factorize(m, cols);
+        ASSERT_EQ(ok, oracle.ok) << "basis " << b << " m=" << m;
+        // Steps past a failure hold -1 on both sides.
+        std::vector<std::int32_t> rows = oracle.rows, pcols = oracle.cols;
+        rows.resize(static_cast<std::size_t>(m), -1);
+        pcols.resize(static_cast<std::size_t>(m), -1);
+        EXPECT_EQ(lu.pivotRows(), rows) << "basis " << b << " m=" << m;
+        EXPECT_EQ(lu.pivotCols(), pcols) << "basis " << b << " m=" << m;
+        completed += oracle.ok;
+        total.fills += oracle.fills;
+        total.cancels += oracle.cancels;
+        total.guarded += oracle.guarded;
+        total.fill_singletons += oracle.fill_singletons;
+        total.cancel_singletons += oracle.cancel_singletons;
+    }
+    EXPECT_FALSE(naiveMarkowitz(24, singular).ok);
+    // The inputs must exercise every path of the rule.
+    EXPECT_GT(completed, static_cast<int>(bases.size()) / 2);
+    EXPECT_GT(total.fills, 0);
+    EXPECT_GT(total.cancels, 0);
+    EXPECT_GT(total.guarded, 0);
+    EXPECT_GT(total.fill_singletons, 0);
+    EXPECT_GT(total.cancel_singletons, 0);
+}
+
 /** A tiny LP whose loaded warm basis is singular (duplicate variable
  *  basic in two rows) must be rejected as Numerical, not crash. */
 TEST(BasisLu, SimplexRejectsSingularWarmBasis)
@@ -431,6 +667,77 @@ TEST(BasisLu, DualWarmStartsEqualAcrossBasisModes)
         EXPECT_EQ(sparse.iterations(), dense.iterations())
             << "round " << round << ": dual pivot sequences diverged";
     }
+}
+
+/**
+ * Copy semantics of the LU basis: a Simplex copied partway through its
+ * eta file, as MipSolver copies `base` for warm starts and RINS rounds,
+ * re-solves exactly like the original: same status and iteration count,
+ * bit-equal objective and solution. The copy owns its factors and eta
+ * file; factorization scratch does not carry over, so the original
+ * re-solving (and refactorizing) first changes nothing for the copy.
+ */
+TEST(BasisLu, SimplexCopyResolvesLikeTheOriginal)
+{
+    const Workload net = workloads::resNet50();
+    cosa::CosaFormulation formulation(net.layers[4], ArchSpec::simbaBaseline(),
+                                      cosa::CosaConfig{});
+    const LpProblem lp = standardForm(formulation.model());
+    Simplex dive(lp, BasisMode::Lu);
+    ASSERT_EQ(dive.solvePrimal(), LpStatus::Optimal);
+
+    Rng rng(5);
+    int steps = 0, mid_file_copies = 0, refactorized_originals = 0;
+    BasisLu::Stats before = dive.basisStats();
+    for (int step = 0; step < 16; ++step) {
+        // Etas absorbed since the last copy with no factorization in
+        // between: this copy takes a non-empty eta file.
+        const BasisLu::Stats at_copy = dive.basisStats();
+        mid_file_copies += at_copy.factorizations == before.factorizations &&
+                           at_copy.eta_updates > before.eta_updates;
+        before = at_copy;
+        Simplex copy = dive;
+
+        // Branch down on a fractional column (scan from a random start).
+        const std::vector<double> x = dive.solution();
+        int j = -1;
+        const int start = static_cast<int>(
+            rng.nextBelow(static_cast<std::uint64_t>(lp.num_structural)));
+        for (int t = 0; t < lp.num_structural && j < 0; ++t) {
+            const int c = (start + t) % lp.num_structural;
+            if (x[c] - std::floor(x[c]) > 1e-6)
+                j = c;
+        }
+        if (j < 0)
+            break; // integral: the dive is over
+        // Down branch first; an infeasible one flips to the up branch
+        // and re-solves warm, as the tree search does for siblings.
+        const double lb = dive.varLb(j), ub = dive.varUb(j);
+        LpStatus st = LpStatus::Infeasible;
+        for (const auto& [lo, hi] : {std::pair{lb, std::floor(x[j])},
+                                     std::pair{std::ceil(x[j]), ub}}) {
+            if (st == LpStatus::Optimal)
+                break;
+            dive.setVarBounds(j, lo, hi);
+            copy.setVarBounds(j, lo, hi);
+            st = dive.solveDualFromCurrent();
+            refactorized_originals +=
+                dive.basisStats().factorizations > at_copy.factorizations;
+            ASSERT_EQ(copy.solveDualFromCurrent(), st) << "step " << step;
+            EXPECT_EQ(copy.iterations(), dive.iterations()) << "step " << step;
+            EXPECT_EQ(copy.basisStats().factorizations,
+                      dive.basisStats().factorizations)
+                << "step " << step;
+        }
+        if (st != LpStatus::Optimal)
+            break;
+        EXPECT_EQ(copy.objective(), dive.objective()) << "step " << step;
+        EXPECT_EQ(copy.solution(), dive.solution()) << "step " << step;
+        ++steps;
+    }
+    EXPECT_GT(steps, 4);
+    EXPECT_GT(mid_file_copies, 0);
+    EXPECT_GT(refactorized_originals, 0);
 }
 
 } // namespace

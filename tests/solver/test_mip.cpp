@@ -2,7 +2,10 @@
 
 #include <cmath>
 
+#include "arch/arch_spec.hpp"
 #include "common/rng.hpp"
+#include "cosa/formulation.hpp"
+#include "problem/layer.hpp"
 #include "solver/model.hpp"
 
 namespace cosa::solver {
@@ -133,6 +136,22 @@ TEST(Mip, RespectsTimeLimitGracefully)
     auto r = m.optimize(params);
     EXPECT_TRUE(r.status == Status::Optimal || r.status == Status::Feasible ||
                 r.status == Status::TimeLimit);
+}
+
+TEST(Mip, NodeLimitIsNeverExceeded)
+{
+    // A CoSA layer whose tree outgrows every limit below: the search
+    // must stop at the limit, not one node past it.
+    const cosa::CosaFormulation formulation(
+        LayerSpec::fromLabel("1_56_64_64_1"), ArchSpec::simbaBaseline(),
+        cosa::CosaConfig{});
+    for (const std::int64_t limit : {1, 5, 10, 50}) {
+        MipParams params;
+        params.node_limit = limit;
+        const MipResult r = formulation.model().optimize(params);
+        EXPECT_LE(r.nodes, limit);
+        EXPECT_GT(r.nodes, 0);
+    }
 }
 
 TEST(Mip, MixedIntegerContinuous)
