@@ -20,20 +20,24 @@
  * a fixed work budget.
  *
  * --compare-basis re-runs the sweep with the dense-inverse basis
- * (MipParams::basis_mode) on a fresh engine and appends its geomean
- * plus the LU speedup — the two runs perform identical pivot
- * sequences, so the ratio isolates the representation's cost.
+ * (MipParams::basis_mode) on a fresh engine and appends its geomean,
+ * iteration and node totals plus the LU speedup — the two runs must
+ * perform identical pivot sequences, so the ratio isolates the
+ * representation's cost. When their iteration or node totals differ
+ * the bench exits 1.
  *
  * --metrics-out / --trace-out (see docs/observability.md) dump the
  * process metric registry and Chrome trace at exit.
  */
 
+#include <array>
 #include <cmath>
 #include <cstring>
 #include <fstream>
 
 #include "bench_util.hpp"
 #include "common/telemetry.hpp"
+#include "cosa/scheduler.hpp"
 
 namespace {
 
@@ -51,7 +55,30 @@ struct SweepTotals
     double presolve_time = 0.0, root_lp_time = 0.0, tree_time = 0.0;
     std::int64_t lu_factorizations = 0, lu_eta_updates = 0;
     std::int64_t lu_refactor_requests = 0;
+    /** Requests by reason: unstable, fill, count, singular. */
+    std::array<std::int64_t, 4> lu_reasons{};
 };
+
+/** The luRefactorReasonCounters() values, in their order. */
+std::array<std::int64_t, 4>
+readReasonCounters()
+{
+    std::array<std::int64_t, 4> values{};
+    const auto counters = luRefactorReasonCounters();
+    for (std::size_t i = 0; i < values.size(); ++i)
+        values[i] = counters[i]->value();
+    return values;
+}
+
+/** JSON object {"unstable": .., "fill": .., "count": .., "singular": ..}. */
+std::string
+reasonsJson(const std::array<std::int64_t, 4>& r)
+{
+    return "{\"unstable\": " + std::to_string(r[0]) +
+           ", \"fill\": " + std::to_string(r[1]) +
+           ", \"count\": " + std::to_string(r[2]) +
+           ", \"singular\": " + std::to_string(r[3]) + "}";
+}
 
 /** One sequential CoSA sweep over the unique ResNet-50 layers. When
  *  @p out is non-null, per-layer JSON records are streamed to it. */
@@ -73,9 +100,17 @@ runSolverSweep(solver::BasisMode basis_mode, SearchObjective objective,
     for (std::size_t l = 0; l < net.layers.size(); ++l) {
         const LayerSpec& layer = net.layers[l];
         // One query per layer: later layers see the earlier schedules
-        // in the cache and warm-start from their nearest neighbor.
+        // in the cache and warm-start from their nearest neighbor. The
+        // sweep is sequential, so the by-reason counters advance by this
+        // layer's solve alone.
+        const auto reasons_before = readReasonCounters();
         const SearchResult result = engine.scheduleLayer(layer, arch);
         const SearchStats& st = result.stats;
+        std::array<std::int64_t, 4> reasons = readReasonCounters();
+        for (std::size_t i = 0; i < reasons.size(); ++i) {
+            reasons[i] -= reasons_before[i];
+            totals.lu_reasons[i] += reasons[i];
+        }
 
         if (out != nullptr) {
             *out << "    {\"layer\": \"" << layer.name << "\""
@@ -92,6 +127,7 @@ runSolverSweep(solver::BasisMode basis_mode, SearchObjective objective,
                  << ", \"lu_eta_updates\": " << st.lu_eta_updates
                  << ", \"lu_refactor_requests\": "
                  << (st.lu_unstable_updates + st.lu_fill_refactor_requests)
+                 << ", \"lu_refactor_reasons\": " << reasonsJson(reasons)
                  << ", \"cycles\": " << result.eval.cycles
                  << ", \"energy_pj\": " << result.eval.energy_pj << "}"
                  << (l + 1 < net.layers.size() ? "," : "") << "\n";
@@ -159,6 +195,8 @@ solverJsonMode(const std::string& path, SearchObjective objective,
     out << "  \"total_lu_eta_updates\": " << totals.lu_eta_updates << ",\n";
     out << "  \"total_lu_refactor_requests\": "
         << totals.lu_refactor_requests << ",\n";
+    out << "  \"total_lu_refactor_reasons\": "
+        << reasonsJson(totals.lu_reasons) << ",\n";
     out << "  \"total_warm_start_hits\": " << totals.warm_hits;
 
     if (compare_basis &&
@@ -176,13 +214,18 @@ solverJsonMode(const std::string& path, SearchObjective objective,
             runSolverSweep(solver::BasisMode::Dense, objective, nullptr);
         out << ",\n  \"dense_geomean_solve_time_sec\": " << dense.geomean
             << ",\n  \"dense_total_solve_time_sec\": " << dense.total_time
+            << ",\n  \"dense_total_lp_iterations\": " << dense.iters
+            << ",\n  \"dense_total_mip_nodes\": " << dense.nodes
             << ",\n  \"lu_speedup_geomean\": "
             << (totals.geomean > 0.0 ? dense.geomean / totals.geomean : 0.0);
         if (dense.iters != totals.iters || dense.nodes != totals.nodes) {
-            std::cerr << "warning: dense/lu sweeps diverged (nodes "
+            out << "\n}\n";
+            std::cerr << "error: dense/lu sweeps diverged (nodes "
                       << dense.nodes << " vs " << totals.nodes
                       << ", iters " << dense.iters << " vs " << totals.iters
-                      << ") — speedup is not like-for-like\n";
+                      << "): the basis modes broke the pivot-sequence "
+                         "contract\n";
+            return 1;
         }
         std::cout << "basis comparison: dense geomean "
                   << TextTable::fmt(dense.geomean, 3) << "s/layer vs lu "

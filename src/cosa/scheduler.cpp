@@ -6,6 +6,23 @@
 
 namespace cosa {
 
+std::array<metrics::Counter*, 4>
+luRefactorReasonCounters()
+{
+    static const std::array<metrics::Counter*, 4> counters = [] {
+        std::array<metrics::Counter*, 4> c{};
+        const char* reasons[] = {"unstable", "fill", "count", "singular"};
+        for (std::size_t i = 0; i < c.size(); ++i)
+            c[i] = &metrics::MetricsRegistry::global().counter(
+                "cosa_solver_lu_refactor_requests_by_reason_total",
+                "Basis refactorization requests by reason (singular: a "
+                "factorization that found the basis singular)",
+                {{"reason", reasons[i]}});
+        return c;
+    }();
+    return counters;
+}
+
 CosaScheduler::CosaScheduler(CosaConfig config, SearchObjective objective)
     : config_(std::move(config)), objective_(objective)
 {
@@ -68,7 +85,12 @@ CosaScheduler::schedule(const LayerSpec& layer, const ArchSpec& arch,
     result.stats.lu_eta_updates = mip.basis.eta_updates;
     result.stats.lu_unstable_updates = mip.basis.unstable_updates;
     result.stats.lu_fill_refactor_requests =
-        mip.basis.fill_refactor_requests;
+        mip.basis.fill_refactor_requests + mip.basis.count_refactor_requests;
+    const auto reasons = luRefactorReasonCounters();
+    reasons[0]->inc(mip.basis.unstable_updates);
+    reasons[1]->inc(mip.basis.fill_refactor_requests);
+    reasons[2]->inc(mip.basis.count_refactor_requests);
+    reasons[3]->inc(mip.basis.singular_factorizations);
     result.stats.warm_starts_installed = hints_installed;
     for (int h = 0; h < hints_installed; ++h) {
         if (h < static_cast<int>(mip.start_accepted.size()) &&

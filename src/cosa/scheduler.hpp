@@ -8,8 +8,10 @@
  * and valid_evaluated = 1 in the Table VI statistics.
  */
 
+#include <array>
 #include <vector>
 
+#include "common/metrics.hpp"
 #include "cosa/formulation.hpp"
 #include "mapper/mapper.hpp"
 
@@ -57,5 +59,14 @@ class CosaScheduler
     CosaConfig config_;
     SearchObjective objective_;
 };
+
+/**
+ * Process-wide counters of basis refactorization requests by reason,
+ * `cosa_solver_lu_refactor_requests_by_reason_total{reason=...}`, in
+ * the order unstable, fill, count, singular (BasisLu::Stats). Every
+ * CoSA solve adds its split here: SearchStats carries only two request
+ * fields (unstable, and fill + count).
+ */
+std::array<metrics::Counter*, 4> luRefactorReasonCounters();
 
 } // namespace cosa

@@ -211,10 +211,11 @@ recordSolveMetrics(const ScheduleRequest& req, const SearchResult& solved)
                    "Fresh basis LU factorizations")
         .inc(s.lu_factorizations);
     solver_counter("cosa_solver_lu_eta_updates_total",
-                   "Product-form eta updates absorbed")
+                   "Forrest-Tomlin basis updates absorbed")
         .inc(s.lu_eta_updates);
     solver_counter("cosa_solver_lu_refactor_requests_total",
-                   "Stability- or fill-triggered refactorization requests")
+                   "Refactorization requests (stability, growth or "
+                   "update count)")
         .inc(s.lu_unstable_updates + s.lu_fill_refactor_requests);
     solver_counter("cosa_solver_warm_starts_installed_total",
                    "Cross-layer warm-start hints installed as MIP starts")

@@ -39,7 +39,9 @@ struct SearchStats
     double root_lp_time_sec = 0.0;
     double tree_time_sec = 0.0;
     // Basis-factorization work (CoSA with BasisMode::Lu; see
-    // BasisLu::Stats for the trigger semantics).
+    // BasisLu::Stats for the trigger semantics). The fill field counts
+    // the growth and update-count requests together; the by-reason
+    // registry counters (luRefactorReasonCounters) split them.
     std::int64_t lu_factorizations = 0;
     std::int64_t lu_eta_updates = 0;
     std::int64_t lu_unstable_updates = 0;

@@ -2,34 +2,40 @@
 
 /**
  * @file
- * Sparse LU representation of the simplex basis with product-form
- * (eta) updates — the replacement for the explicit dense basis inverse.
+ * Sparse LU representation of the simplex basis with Forrest–Tomlin
+ * updates — the replacement for the explicit dense basis inverse.
  *
- * The basis matrix B (one column per basic variable) is held as
+ * The basis matrix B (one column per basic variable) is factorized as
  *     P B Q = L U
  * where P/Q are row/column permutations chosen by Markowitz ordering
  * (minimum fill estimate under a threshold-pivoting stability guard),
  * L is unit lower triangular and U upper triangular, both stored
- * sparse. FTRAN (x = B^-1 v) and BTRAN (y = B^-T v) are two triangular
- * solves each: the L solves skip zero multipliers, the U solves visit
- * every step, so a solve costs O(m + nnz(LU) + nnz(etas)).
+ * sparse. Each elimination step k pairs a row of B with a basis
+ * position; U's rows and columns are indexed by step.
  *
  * A simplex pivot replaces one basis column. Rather than refactorizing,
- * the replacement is absorbed as a product-form eta matrix: with
- * w = B^-1 a_q (the ftran'd entering column, already computed for the
- * ratio test) and p the leaving basis position,
- *     B' = B E,   E = I + (w - e_p) e_p',
- * so B'^-1 = E^-1 B^-1 and E^-1 costs O(nnz(w)) to apply. The eta file
- * is flat: one entries array, with a start, a pivot position and an
- * inverse pivot per eta. Every FTRAN/BTRAN streams through it, and
- * refactorization folds it back into fresh L U factors.
+ * the replacement is absorbed by a Forrest–Tomlin update of U: the
+ * entering column's spike L^-1 a_q (recorded by ftranEntering(), the
+ * FTRAN the ratio test needs anyway) replaces U's column for the
+ * leaving step, that step moves to the end of U's triangular order,
+ * and its row is eliminated against the rows now after it. The
+ * elimination multipliers form one row eta R_t, so after K updates
+ *     B^-1 = Q U^-1 R_K ... R_1 L^-1 P,
+ * with U the updated triangle. The multipliers follow from U^-T e_k,
+ * which the dual simplex's BTRAN of the leaving row computes anyway
+ * (btranLeaving() records it); without that record the update
+ * eliminates the row itself. FTRAN and BTRAN are an L solve, the R
+ * etas (one sparse dot product or scatter each) and a U solve over the
+ * order array. An update adds the spike's few nonzeros to U, not a
+ * dense column of B^-1 a_q, so the factors stay close to fresh ones.
  *
- * Refactorization is *stability-triggered*, not on a fixed pivot
- * cadence: an update whose eta pivot |w_p| is small against ||w||_inf
- * (growth beyond kEtaStabilityTol) flags the representation, and the
- * eta file is also bounded by fill (total eta nonzeros against the
- * factor nonzeros) and by a hard count backstop. The simplex loops poll
- * needsRefactorization() at iteration boundaries.
+ * Refactorization is requested by the representation, not on a fixed
+ * pivot cadence, for one of three reasons: an update whose new diagonal
+ * is tiny against its spike (stability), the U + R nonzeros outgrowing
+ * the fresh factors (fill), or the update-count backstop. The simplex
+ * loops poll needsRefactorization() at iteration boundaries. Stats
+ * counts each request once, under its first reason, and counts failed
+ * factorizations as a fourth.
  *
  * Factorization cost. Most basis columns are unit slack or artificial
  * columns, so most elimination steps have a zero-cost Markowitz pivot.
@@ -37,11 +43,11 @@
  * column or one of its rows drops to a single entry) finds the first
  * such pivot without rescanning unchanged columns; only a nucleus with
  * no zero-cost pivot pays the full scan. The pivot order is exactly
- * the full scan's. The active submatrix and all elimination scratch
- * live in a workspace owned by the BasisLu and reused across
- * factorizations; copies of a BasisLu do not inherit it. See
- * docs/solver-numerics.md for the policy, the tolerance table and why
- * these shortcuts leave every result bit-identical.
+ * the full scan's. The active submatrix, all elimination scratch and
+ * the update scratch live in a workspace owned by the BasisLu and
+ * reused across factorizations; copies of a BasisLu copy the factors
+ * and the R etas, not the workspace. See docs/solver-numerics.md for
+ * the policy, the tolerance table and the update's storage.
  */
 
 #include <cstdint>
@@ -55,7 +61,7 @@ namespace cosa::solver {
 /** Which representation of B^-1 a Simplex instance maintains. */
 enum class BasisMode : std::uint8_t {
     Dense, //!< explicit dense inverse (the historical reference path)
-    Lu,    //!< sparse LU factors + product-form eta updates
+    Lu,    //!< sparse LU factors + Forrest–Tomlin updates
 };
 
 /**
@@ -67,22 +73,29 @@ enum class BasisMode : std::uint8_t {
  */
 BasisMode defaultBasisMode();
 
-/** Sparse LU factors of a basis matrix plus the eta file on top. */
+/** Sparse LU factors of a basis matrix, kept current by Forrest–Tomlin
+ *  updates. */
 class BasisLu
 {
   public:
     using Entry = SparseMatrix::Entry; //!< (index, value) coefficient
 
-    /** Lifetime counters (survive refactorizations). */
+    /** Lifetime counters (survive refactorizations). Every
+     *  refactorization request is counted once, under the first of
+     *  unstable, fill and count that raised it. */
     struct Stats
     {
-        std::int64_t factorizations = 0;   //!< fresh LU factorizations
-        std::int64_t eta_updates = 0;      //!< product-form updates absorbed
-        /** Updates whose eta pivot failed the growth tolerance; each
-         *  requests a refactorization at the next loop boundary. */
+        std::int64_t factorizations = 0; //!< fresh LU factorizations
+        std::int64_t eta_updates = 0;    //!< Forrest–Tomlin updates absorbed
+        /** Requests from an update whose new U diagonal failed the
+         *  stability tolerance. */
         std::int64_t unstable_updates = 0;
-        /** Refactorization requests from the eta-file fill bound. */
+        /** Requests from U + R nonzeros outgrowing the growth bound. */
         std::int64_t fill_refactor_requests = 0;
+        /** Requests from the update-count backstop. */
+        std::int64_t count_refactor_requests = 0;
+        /** factorize() calls that found the basis singular. */
+        std::int64_t singular_factorizations = 0;
 
         /** Accumulate another snapshot (stat roll-ups across solves). */
         void
@@ -92,6 +105,8 @@ class BasisLu
             eta_updates += other.eta_updates;
             unstable_updates += other.unstable_updates;
             fill_refactor_requests += other.fill_refactor_requests;
+            count_refactor_requests += other.count_refactor_requests;
+            singular_factorizations += other.singular_factorizations;
         }
 
         /** Counter advance since @p entry. Simplex copies inherit their
@@ -106,6 +121,10 @@ class BasisLu
             d.unstable_updates = unstable_updates - entry.unstable_updates;
             d.fill_refactor_requests =
                 fill_refactor_requests - entry.fill_refactor_requests;
+            d.count_refactor_requests =
+                count_refactor_requests - entry.count_refactor_requests;
+            d.singular_factorizations =
+                singular_factorizations - entry.singular_factorizations;
             return d;
         }
     };
@@ -120,7 +139,7 @@ class BasisLu
 
     /**
      * Factorize the m x m basis loaded since beginBasis() (m columns
-     * over rows 0..m-1). Resets the eta file. Returns false when the
+     * over rows 0..m-1). Drops every update. Returns false when the
      * basis is singular (an active column runs empty, or no pivot
      * above kSingularTol survives); the factors are then unusable
      * until the next successful factorize().
@@ -136,27 +155,47 @@ class BasisLu
     /** In place x := B^-1 x (dense length-m vector). */
     void ftran(double* x) const;
 
+    /**
+     * ftran() of an entering column a_q that also records its spike
+     * (the vector the U solve starts from) for the update() replacing
+     * a basis column with a_q. Only the latest call's spike is kept,
+     * and update() or factorize() consumes it.
+     */
+    void ftranEntering(double* x);
+
     /** In place y := B^-T y (dense length-m vector). */
     void btran(double* y) const;
 
     /**
-     * Absorb a pivot that replaces basis position @p p, where @p w is
-     * the ftran'd entering column B^-1 a_q (dense, length m; w[p] is
-     * the pivot element, guaranteed nonzero by the caller's ratio
-     * test). Always succeeds — the eta is exact regardless of
-     * magnitude — but flags a stability refactorization request when
-     * |w[p]| < kEtaStabilityTol * ||w||_inf, since applying such an eta
-     * amplifies error by ||w||_inf / |w[p]|.
+     * y := B^-T e_p, row p of B^-1 (dense, length m), that also
+     * records what an update() replacing basis position p needs to
+     * eliminate the leaving row. The record is kept until the next
+     * btranLeaving(), update() or factorize(); without it, update()
+     * eliminates the row itself.
+     */
+    void btranLeaving(int p, double* y);
+
+    /**
+     * Absorb a pivot that replaces basis position @p p with the column
+     * of the last ftranEntering() call, whose result is @p w = B^-1 a_q
+     * (dense, length m; w[p] is the pivot element, nonzero by the
+     * caller's ratio test). Always succeeds, but requests a
+     * refactorization when the new U diagonal is below
+     * kUpdateStabilityTol times the spike's largest entry, or when
+     * it disagrees with w[p] times the old diagonal (their ratio is
+     * w[p] in exact arithmetic) by more than kUpdateStabilityTol
+     * relative; the U + R growth bound and the update-count backstop
+     * request one too.
      */
     void update(int p, const double* w);
 
-    /**
-     * True when the eta file should be folded into fresh factors: a
-     * preceding update tripped the growth tolerance, the accumulated
-     * eta fill exceeds the factor fill, or the hard count backstop is
-     * reached. Polled by the simplex loops at iteration boundaries.
-     */
-    bool needsRefactorization() const;
+    /** True when a refactorization has been requested since the last
+     *  factorize(). Polled by the simplex loops at iteration
+     *  boundaries. */
+    bool needsRefactorization() const
+    {
+        return factorized_ && refactor_requested_;
+    }
 
     const Stats& stats() const { return stats_; }
 
@@ -172,39 +211,80 @@ class BasisLu
     /** Absolute pivot floor; below it a basis is declared singular
      *  (matches the dense path's Gauss-Jordan tolerance). */
     static constexpr double kSingularTol = 1e-11;
-    /** Eta growth tolerance: |w_p| / ||w||_inf below this requests a
-     *  refactorization. */
-    static constexpr double kEtaStabilityTol = 1e-7;
+    /** Update stability tolerance: a new U diagonal below this
+     *  fraction of its spike's largest entry, or off its exact value
+     *  by more than this relative error, requests a refactorization. */
+    static constexpr double kUpdateStabilityTol = 1e-7;
     /** Elimination entries whose updated magnitude falls below this
      *  fraction of the update's operand magnitudes are dropped as
      *  cancellation noise. */
     static constexpr double kDropTol = 1e-13;
-    /** Hard backstop on the eta count regardless of fill. */
-    static constexpr int kMaxEtas = 240;
+    /** Backstop on the updates absorbed between factorizations. */
+    static constexpr int kMaxUpdates = 150;
 
   private:
-    /** Eta-file fill bound: once the accumulated eta nonzeros exceed
+    /** Growth bound: once the U + R nonzeros added by updates exceed
      *  it, the next loop boundary refactorizes. */
-    std::int64_t fillBound() const
+    std::int64_t growthBound() const
     {
         const std::int64_t by_size = 4 * static_cast<std::int64_t>(m_);
         const std::int64_t by_fill = 2 * factor_nnz_;
         return by_size > by_fill ? by_size : by_fill;
     }
 
-    /** Eta nonzeros: the off-pivot entries plus one pivot per eta. */
-    std::int64_t etaNnz() const
+    /** An entering column's spike: value is dense by step, and steps
+     *  lists every step where it may be nonzero (some twice). */
+    struct Spike
     {
-        return static_cast<std::int64_t>(eta_entries_.size() +
-                                         eta_pos_.size());
-    }
+        std::vector<double> value;
+        std::vector<std::int32_t> steps;
+    };
+
+    /** ftran(), recording the spike into @p spike when non-null. */
+    void solve(double* x, Spike* spike) const;
+
+    /** btran(), starting the U^T solve at position @p first (y is
+     *  zero at every earlier position) and recording its nonzeros,
+     *  (step, value) in position order, into @p leaving when non-null. */
+    void solveTransposed(double* y, int first,
+                         std::vector<Entry>* leaving) const;
+
+    /** Sparse lines of T (U's rows, or its column pattern): line k is
+     *  pool[beg[k], beg[k] + len[k]) with room for cap[k] entries. A
+     *  line outgrowing its room moves to the end of the pool. */
+    template <typename T>
+    struct Lines
+    {
+        std::vector<T> pool;
+        std::vector<std::int64_t> beg;
+        std::vector<std::int32_t> len, cap;
+
+        Lines() = default;
+        /** A copy packs the lines tightly, leaving moved lines' old
+         *  room behind. */
+        Lines(const Lines& other);
+        Lines& operator=(const Lines& other);
+        Lines(Lines&&) = default;
+        Lines& operator=(Lines&&) = default;
+
+        std::span<const T>
+        operator[](std::int32_t k) const
+        {
+            const auto uk = static_cast<std::size_t>(k);
+            return {pool.data() + beg[uk], static_cast<std::size_t>(len[uk])};
+        }
+        /** Append @p e to line @p k. */
+        void append(std::int32_t k, T e);
+        /** Remove line @p k's entry with index @p index (the last entry
+         *  takes its place). */
+        void remove(std::int32_t k, std::int32_t index);
+    };
 
     /**
-     * Factorization scratch, reused by every factorize() so a warm
-     * refactorization allocates nothing. A copy of a BasisLu starts
-     * with an empty workspace (a Simplex clone owns its factors and
-     * eta file, not its parent's scratch) and builds its own on first
-     * use.
+     * Factorization and update scratch, reused by every factorize() and
+     * update() so neither allocates once warm. A copy of a BasisLu
+     * starts with an empty workspace (a Simplex clone owns its factors,
+     * not its parent's scratch) and builds its own on first use.
      */
     struct Workspace
     {
@@ -229,35 +309,50 @@ class BasisLu
         std::vector<std::uint64_t> candidate;
         std::vector<Entry> mult;   //!< (row, multiplier) of the pivot column
         std::vector<Entry> newcol; //!< merge scratch for column updates
-        std::vector<std::int32_t> prow_cols;   //!< pivot row's columns
-        std::vector<std::int32_t> col_to_step; //!< U column remap
+        std::vector<std::int32_t> prow_cols; //!< pivot row's columns
+
+        Spike spike; //!< of the last ftranEntering()
+        bool spike_valid = false;
+        /** Dense by step, all zero between updates: the leaving row
+         *  during its elimination. */
+        std::vector<double> row;
+        std::vector<std::int64_t> heap; //!< the leaving row's queue
+        /** U^-T e_kp of the last btranLeaving(), for basis position
+         *  leaving_pos (-1: none). */
+        std::vector<Entry> leaving;
+        int leaving_pos = -1;
     };
 
     int m_ = 0;
     bool factorized_ = false;
-    bool unstable_ = false;
+    bool refactor_requested_ = false;
 
-    // P B Q = L U in pivot-step order k = 0..m-1.
+    // P B Q = L U by elimination step k = 0..m-1.
     std::vector<std::int32_t> prow_; //!< pivot row (original id) of step k
     std::vector<std::int32_t> pcol_; //!< pivot column (basis position)
+    std::vector<std::int32_t> step_of_col_; //!< inverse of pcol_
     /** L stored by elimination step: l_start_[k]..l_start_[k+1] are the
      *  (original row, multiplier) entries of L's column k. */
     std::vector<std::int64_t> l_start_;
     std::vector<Entry> l_entries_;
-    /** U stored by pivot row: u_start_[k]..u_start_[k+1] are the
-     *  (step index, value) entries right of the diagonal. */
+    /** U's off-diagonal entries by row, (column step, value), right of
+     *  the diagonal in order_; u_cols_ holds the row steps of each
+     *  column, for removing a leaving column or row. */
     std::vector<double> u_diag_;
-    std::vector<std::int64_t> u_start_;
-    std::vector<Entry> u_entries_;
-
-    /** Eta file: eta t replaced basis position eta_pos_[t]; its
-     *  off-pivot entries (i, w[i]) are eta_entries_[eta_start_[t],
-     *  eta_start_[t + 1]). */
-    std::vector<std::int64_t> eta_start_;
-    std::vector<std::int32_t> eta_pos_;
-    std::vector<double> eta_inv_pivot_; //!< 1 / w[p] per eta
-    std::vector<Entry> eta_entries_;
-    std::int64_t factor_nnz_ = 0;
+    Lines<Entry> u_rows_;
+    Lines<std::int32_t> u_cols_;
+    /** U is triangular in this step order: order_[i] is the step at
+     *  position i, pos_ its inverse. Updates move steps to the end. */
+    std::vector<std::int32_t> order_, pos_;
+    /** R etas, oldest first: eta t replaces z[r_step_[t]] by
+     *  z[r_step_[t]] - sum of value * z[step] over r_entries_[
+     *  r_start_[t], r_start_[t + 1]). */
+    std::vector<std::int64_t> r_start_;
+    std::vector<std::int32_t> r_step_;
+    std::vector<Entry> r_entries_;
+    std::int64_t factor_nnz_ = 0; //!< nnz(L) + nnz(U) + m when fresh
+    std::int64_t growth_ = 0;     //!< U + R nonzeros added since then
+    int num_updates_ = 0;         //!< updates since the last factorize()
 
     mutable std::vector<double> work_; //!< length-m solve scratch
     Workspace ws_;

@@ -55,7 +55,7 @@ struct MipParams
     /**
      * Basis representation of every simplex instance in the solve:
      * BasisMode::Lu (default) maintains sparse LU factors with
-     * product-form eta updates and stability-triggered
+     * Forrest–Tomlin updates and representation-triggered
      * refactorization; BasisMode::Dense keeps the historical explicit
      * inverse (O(m^2) per pivot) as the numerics reference. The two
      * modes perform identical pivot sequences and return identical

@@ -247,7 +247,8 @@ Simplex::ftran(int j)
     COSA_FAILPOINT("simplex.ftran", ErrorCode::kNumericFailure);
     if (mode_ == BasisMode::Lu) {
         // Scatter column j (structural nonzeros, or the implicit unit
-        // column of a slack/artificial) and solve against the factors.
+        // column of a slack/artificial) and solve against the factors,
+        // recording the spike the pivot's basis update consumes.
         std::fill(work_col_.begin(), work_col_.end(), 0.0);
         if (j < num_structural_) {
             for (const SparseMatrix::Entry& e : matrix_->column(j))
@@ -257,7 +258,7 @@ Simplex::ftran(int j)
         } else {
             work_col_[j - n_] = art_sign_[j - n_];
         }
-        lu_.ftran(work_col_.data());
+        lu_.ftranEntering(work_col_.data());
         return;
     }
     if (j >= num_structural_) {
@@ -286,12 +287,11 @@ Simplex::btranRow(int r)
     // Slack and artificial columns are unit vectors, so their entry is
     // a single rho element.
     // Dense mode reads rho straight out of the maintained inverse; LU
-    // mode obtains it with one BTRAN of the unit vector e_r.
+    // mode obtains it with one BTRAN of the unit vector e_r, which also
+    // leaves the LU what the pivot's update needs.
     const double* rho;
     if (mode_ == BasisMode::Lu) {
-        std::fill(work_rho_.begin(), work_rho_.end(), 0.0);
-        work_rho_[r] = 1.0;
-        lu_.btran(work_rho_.data());
+        lu_.btranLeaving(r, work_rho_.data());
         rho = work_rho_.data();
     } else {
         rho = &binv_[static_cast<std::size_t>(r) * m_];
@@ -357,9 +357,10 @@ void
 Simplex::pivot(int entering, int leaving_row, double entering_value)
 {
     COSA_FAILPOINT("simplex.pivot", ErrorCode::kNumericFailure);
-    // Absorb the basis change (work_col_ must hold B^-1 A_entering):
-    // LU mode appends a product-form eta in O(nnz(work_col_)); dense
-    // mode applies the rank-one update to every binv row, O(m^2).
+    // Absorb the basis change (work_col_ must hold B^-1 A_entering,
+    // from ftran(entering)): LU mode applies a Forrest–Tomlin update of
+    // U with the spike that ftran recorded; dense mode applies the
+    // rank-one update to every binv row, O(m^2).
     const double alpha_r = work_col_[leaving_row];
     COSA_ASSERT(std::abs(alpha_r) > kPivotTol, "pivot too small: ", alpha_r);
     if (mode_ == BasisMode::Lu) {
@@ -455,8 +456,8 @@ Simplex::primalLoop(const double* costs, bool phase1)
         ++since_refactor;
         // Dense mode refactorizes (and refreshes the basic values) on
         // a fixed pivot cadence. LU mode refactorizes when the
-        // representation asks (eta growth/fill triggers, with the eta
-        // count cap as the hard backstop) — but keeps the same
+        // representation asks (update stability, U + R growth, or the
+        // update-count backstop) — but keeps the same
         // *recompute* cadence for the incrementally-updated basic
         // values: one cheap FTRAN bounds their drift exactly like the
         // dense refresh does, so the two modes' trajectories stay
@@ -650,8 +651,8 @@ LpStatus
 Simplex::solveDualFromCurrent()
 {
     trace::Span span("simplex.dual_warm", "solver", /*fine=*/true);
-    // The internal basis representation (dense inverse or LU factors +
-    // eta file) is maintained across pivots and stays valid under pure
+    // The internal basis representation (dense inverse or updated LU
+    // factors) is maintained across pivots and stays valid under pure
     // bound changes (the branch-and-bound dive path), so no
     // refactorization is needed here — only the basic values must be
     // refreshed against the new bounds. The dual loop refactorizes on

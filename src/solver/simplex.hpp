@@ -14,8 +14,8 @@
  *  - refactorization and a Bland's-rule anti-cycling fallback.
  *
  * The basis is maintained in one of two interchangeable representations
- * (BasisMode): a sparse LU factorization with product-form eta updates
- * and stability-triggered refactorization (the default — see
+ * (BasisMode): a sparse LU factorization with Forrest–Tomlin updates
+ * and representation-triggered refactorization (the default — see
  * basis_lu.hpp), or the historical explicit dense inverse with O(m^2)
  * rank-one pivot updates and a fixed 64-pivot refactorization cadence,
  * kept as the numerics reference. Both representations perform the
@@ -182,7 +182,7 @@ class Simplex
     std::vector<std::int32_t> basic_;   //!< size m_
     std::vector<std::uint8_t> state_;   //!< size total_
     BasisMode mode_ = BasisMode::Lu;    //!< basis representation switch
-    BasisLu lu_;                        //!< LU factors + eta file (Lu mode)
+    BasisLu lu_;                        //!< updated LU factors (Lu mode)
     std::vector<double> binv_;          //!< m_ x m_ dense B^-1 (Dense mode)
     std::vector<double> xb_;            //!< basic variable values
     std::vector<double> work_col_;      //!< scratch: B^-1 * A_j

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "arch/arch_spec.hpp"
@@ -125,7 +126,8 @@ TEST(BasisLu, EtaUpdatesMatchFreshFactorization)
     BasisLu lu;
     ASSERT_TRUE(lu.factorize(m, cols));
 
-    // Replace 12 basis columns one by one through the product form.
+    // Replace 12 basis columns one by one through Forrest–Tomlin
+    // updates.
     for (int round = 0; round < 12; ++round) {
         const int p = static_cast<int>(rng.nextDouble() * m) % m;
         std::vector<Entry> newcol;
@@ -139,7 +141,7 @@ TEST(BasisLu, EtaUpdatesMatchFreshFactorization)
         std::vector<double> w(static_cast<std::size_t>(m), 0.0);
         for (const Entry& e : newcol)
             w[e.index] = e.value;
-        lu.ftran(w.data());
+        lu.ftranEntering(w.data());
         ASSERT_GT(std::abs(w[p]), 1e-8);
         lu.update(p, w.data());
         cols[static_cast<std::size_t>(p)] = newcol;
@@ -162,10 +164,11 @@ TEST(BasisLu, EtaUpdatesMatchFreshFactorization)
 
 TEST(BasisLu, GrowthToleranceTriggersRefactorization)
 {
-    // Identity basis, then an update whose eta pivot is tiny against
-    // the spike: |w_p| / ||w||_inf = 1e-9 < kEtaStabilityTol. The
-    // update is absorbed (the math stays exact) but the representation
-    // must request a refactorization at the next loop boundary.
+    // Identity basis, then an update whose new U diagonal is tiny
+    // against the spike: on the identity FTRAN(a) = a = w, and the new
+    // diagonal is w_p, so |w_p| / ||w||_inf = 1e-9 < kUpdateStabilityTol.
+    // The update is absorbed but the representation must request a
+    // refactorization at the next loop boundary.
     const int m = 4;
     std::vector<std::vector<Entry>> cols(m);
     for (int j = 0; j < m; ++j)
@@ -175,6 +178,7 @@ TEST(BasisLu, GrowthToleranceTriggersRefactorization)
     EXPECT_FALSE(lu.needsRefactorization());
 
     std::vector<double> w = {1e-3, 1e6, 0.0, 0.0};
+    lu.ftranEntering(w.data());
     lu.update(0, w.data());
     EXPECT_TRUE(lu.needsRefactorization());
     EXPECT_EQ(lu.stats().unstable_updates, 1);
@@ -185,6 +189,7 @@ TEST(BasisLu, GrowthToleranceTriggersRefactorization)
 
     // A well-conditioned update does not trip it.
     std::vector<double> ok = {2.0, 1.0, 0.0, -1.0};
+    lu.ftranEntering(ok.data());
     lu.update(0, ok.data());
     EXPECT_FALSE(lu.needsRefactorization());
     EXPECT_EQ(lu.stats().unstable_updates, 1);
@@ -192,8 +197,9 @@ TEST(BasisLu, GrowthToleranceTriggersRefactorization)
 
 TEST(BasisLu, EtaFillBoundTriggersRefactorization)
 {
-    // Dense spikes on a small identity basis: the eta file's nonzeros
-    // quickly exceed the factor fill bound.
+    // Dense entering columns on a small identity basis: the nonzeros
+    // their spikes add to U quickly exceed the growth bound. Each
+    // column goes through the entering FTRAN first, so w = B^-1 a.
     const int m = 6;
     std::vector<std::vector<Entry>> cols(m);
     for (int j = 0; j < m; ++j)
@@ -204,6 +210,7 @@ TEST(BasisLu, EtaFillBoundTriggersRefactorization)
     while (!lu.needsRefactorization() && updates < 1000) {
         std::vector<double> w(static_cast<std::size_t>(m), 0.5);
         w[static_cast<std::size_t>(updates % m)] = 2.0;
+        lu.ftranEntering(w.data());
         lu.update(updates % m, w.data());
         ++updates;
     }
@@ -467,6 +474,166 @@ TEST(BasisLu, PivotOrderMatchesNaiveMarkowitzRule)
     EXPECT_GT(total.guarded, 0);
     EXPECT_GT(total.fill_singletons, 0);
     EXPECT_GT(total.cancel_singletons, 0);
+}
+
+/** FTRAN and BTRAN of @p lu against a fresh factorization of @p cols,
+ *  on two seeded right-hand sides. */
+void
+expectSolvesMatchFresh(Rng& rng, BasisLu& lu, int m,
+                       const std::vector<std::vector<Entry>>& cols,
+                       const std::string& where)
+{
+    BasisLu fresh;
+    ASSERT_TRUE(fresh.factorize(m, cols)) << where;
+    for (int rep = 0; rep < 2; ++rep) {
+        std::vector<double> v(static_cast<std::size_t>(m));
+        for (double& x : v)
+            x = rng.nextDouble() < 0.3 ? rng.nextDouble() * 4.0 - 2.0 : 0.0;
+        std::vector<double> a = v, b = v;
+        lu.ftran(a.data());
+        fresh.ftran(b.data());
+        for (int i = 0; i < m; ++i)
+            ASSERT_NEAR(a[static_cast<std::size_t>(i)],
+                        b[static_cast<std::size_t>(i)], 1e-9)
+                << where << " ftran row " << i;
+        a = v;
+        b = v;
+        lu.btran(a.data());
+        fresh.btran(b.data());
+        for (int i = 0; i < m; ++i)
+            ASSERT_NEAR(a[static_cast<std::size_t>(i)],
+                        b[static_cast<std::size_t>(i)], 1e-9)
+                << where << " btran row " << i;
+    }
+}
+
+/**
+ * Forrest–Tomlin oracle: on seeded CoSA-shaped bases, long sequences
+ * of column replacements (up to the update-count backstop) keep FTRAN
+ * and BTRAN equal to a fresh factorization of the current basis after
+ * every update. Entering columns are CoSA-shaped too; half the updates
+ * take the leaving row from btranLeaving(), as the dual simplex does,
+ * and half eliminate it themselves, as the primal simplex does.
+ */
+TEST(BasisLu, ForrestTomlinUpdatesMatchFreshFactorization)
+{
+    Rng rng(97);
+    int updates = 0, via_btran = 0, factorizations = 0;
+    for (int m : {6, 17, 40, 64}) {
+        auto cols = cosaShapedBasis(rng, m);
+        BasisLu lu;
+        if (!lu.factorize(m, cols))
+            continue; // a singular draw
+        ++factorizations;
+        expectSolvesMatchFresh(rng, lu, m, cols, "fresh m=" + std::to_string(m));
+        // Candidate entering columns: unit columns and short structural
+        // columns drawn from further CoSA-shaped bases.
+        const auto pool_a = cosaShapedBasis(rng, m);
+        const auto pool_b = cosaShapedBasis(rng, m);
+        int done = 0;
+        for (int attempt = 0; done < BasisLu::kMaxUpdates && attempt < 20000;
+             ++attempt) {
+            const auto& pool = attempt % 2 == 0 ? pool_a : pool_b;
+            const std::vector<Entry>& a = pool[static_cast<std::size_t>(
+                rng.nextBelow(static_cast<std::uint64_t>(m)))];
+            const int p =
+                static_cast<int>(rng.nextBelow(static_cast<std::uint64_t>(m)));
+            std::vector<double> w(static_cast<std::size_t>(m), 0.0);
+            for (const Entry& e : a)
+                w[static_cast<std::size_t>(e.index)] = e.value;
+            lu.ftranEntering(w.data());
+            double wmax = 0.0;
+            for (double x : w)
+                wmax = std::max(wmax, std::abs(x));
+            // The simplex only pivots on well-sized elements.
+            if (std::abs(w[static_cast<std::size_t>(p)]) < 0.1 * wmax)
+                continue;
+            if (rng.nextDouble() < 0.5) {
+                std::vector<double> rho(static_cast<std::size_t>(m));
+                lu.btranLeaving(p, rho.data());
+                std::vector<double> unit(static_cast<std::size_t>(m), 0.0);
+                unit[static_cast<std::size_t>(p)] = 1.0;
+                lu.btran(unit.data());
+                EXPECT_EQ(rho, unit) << "btranLeaving is btran(e_p)";
+                ++via_btran;
+            }
+            lu.update(p, w.data());
+            cols[static_cast<std::size_t>(p)] = a;
+            ++done;
+            ++updates;
+            expectSolvesMatchFresh(rng, lu, m, cols,
+                                   "m=" + std::to_string(m) + " update " +
+                                       std::to_string(done));
+            if (testing::Test::HasFatalFailure())
+                return;
+        }
+        EXPECT_EQ(done, BasisLu::kMaxUpdates) << "m=" << m;
+        // The backstop (or an earlier trigger) has fired, once.
+        EXPECT_TRUE(lu.needsRefactorization()) << "m=" << m;
+    }
+    EXPECT_EQ(factorizations, 4);
+    EXPECT_GT(via_btran, updates / 3);
+    EXPECT_LT(via_btran, 2 * updates / 3);
+}
+
+/** A replacement whose entering column is nearly the column of another
+ *  basis position makes the new U diagonal tiny against the spike: the
+ *  update is absorbed, counted as unstable, and requests a
+ *  refactorization, once. */
+TEST(BasisLu, NearSingularReplacementRequestsRefactorization)
+{
+    Rng rng(5);
+    const int m = 24;
+    auto cols = cosaShapedBasis(rng, m);
+    BasisLu lu;
+    ASSERT_TRUE(lu.factorize(m, cols));
+    // a = column q + 1e-9 * column p: w = B^-1 a = e_q + 1e-9 e_p.
+    const int p = 3, q = 11;
+    std::vector<double> w(static_cast<std::size_t>(m), 0.0);
+    for (const Entry& e : cols[static_cast<std::size_t>(q)])
+        w[static_cast<std::size_t>(e.index)] += e.value;
+    for (const Entry& e : cols[static_cast<std::size_t>(p)])
+        w[static_cast<std::size_t>(e.index)] += 1e-9 * e.value;
+    lu.ftranEntering(w.data());
+    EXPECT_NEAR(w[static_cast<std::size_t>(p)], 1e-9, 1e-12);
+    EXPECT_FALSE(lu.needsRefactorization());
+    lu.update(p, w.data());
+    EXPECT_TRUE(lu.needsRefactorization());
+    EXPECT_EQ(lu.stats().unstable_updates, 1);
+    EXPECT_EQ(lu.stats().fill_refactor_requests, 0);
+    EXPECT_EQ(lu.stats().count_refactor_requests, 0);
+    // A further update while the request is pending is not a new one
+    // (here position 0 is replaced by its own column: w = e_0).
+    std::vector<double> ok(static_cast<std::size_t>(m), 0.0);
+    for (const Entry& e : cols[0])
+        ok[static_cast<std::size_t>(e.index)] = e.value;
+    lu.ftranEntering(ok.data());
+    lu.update(0, ok.data());
+    EXPECT_EQ(lu.stats().unstable_updates, 1);
+    // A singular basis fails to factorize and is counted as such.
+    cols[static_cast<std::size_t>(p)] = cols[static_cast<std::size_t>(q)];
+    EXPECT_FALSE(lu.factorize(m, cols));
+    EXPECT_EQ(lu.stats().singular_factorizations, 1);
+}
+
+/**
+ * Refactorization cadence regression: a CoSA MIP on a ResNet-50 layer
+ * at the default work budget refactorizes at most once every four
+ * branch-and-bound nodes, not per node.
+ */
+TEST(BasisLu, CosaMipRefactorizesRarelyPerNode)
+{
+    cosa::CosaFormulation formulation(LayerSpec::fromLabel("1_56_64_64_1"),
+                                      ArchSpec::simbaBaseline(),
+                                      cosa::CosaConfig{});
+    MipResult mip;
+    ASSERT_TRUE(formulation.solve(&mip).has_value());
+    ASSERT_GT(mip.nodes, 1000);
+    EXPECT_LE(static_cast<double>(mip.basis.factorizations) /
+                  static_cast<double>(mip.nodes),
+              0.25)
+        << mip.basis.factorizations << " factorizations over " << mip.nodes
+        << " nodes";
 }
 
 /** A tiny LP whose loaded warm basis is singular (duplicate variable
